@@ -2,8 +2,7 @@
 
 Subcommands: gen-data, train, eval, gradcheck, shapes, extract-graph, report.
 Flag precedence is flags > config file > built-in defaults. Exit codes:
-0 success, 1 validation failure, 2 usage error. VIDEOGRAPH_THREADS caps
-internal parallelism.
+0 success, 1 validation failure, 2 usage error. Only eval takes --perturb.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint", help="checkpoint directory")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--perturb", choices=PERTURBATION_MODES,
-                        help="temporal order perturbation for evaluation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("extract-graph", "export per-class activity graphs (DOT + JSON)"),
         ("report", "aggregate natural/reversed/random evaluation into a drop table"),
     ]:
-        _add_common_flags(sub.add_parser(name, help=help_text))
+        sub_parser = sub.add_parser(name, help=help_text)
+        _add_common_flags(sub_parser)
+        if name == "eval":
+            sub_parser.add_argument("--perturb", choices=PERTURBATION_MODES,
+                                    help="temporal order perturbation for evaluation")
     return parser
 
 
@@ -110,8 +111,6 @@ def cmd_train(parser, args) -> int:
     config = RunConfig.from_dict(_load_json(config_path))
     if args.seed is not None:
         config.seed = args.seed
-    if args.perturb is not None:
-        config.eval_perturbation = args.perturb
 
     if args.data:
         train_manifest = _resolve_manifest(args.data, "train")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as tz
 from .model import (GraphEmbeddingParams, NodeAttentionParams, VideoGraphConfig,
-                    VideoGraphModel, desk_config, graph_embedding_pipeline,
+                    VideoGraphModel, desk_config, graph_embedding_forward,
                     node_attention_forward)
 from .tensor import BatchNormState, Tape, Tensor, grad_check
 
@@ -208,10 +208,10 @@ def check_loss_multi(rng):
 def check_node_attention(rng):
     h, w, c = 2, 2, 4
     n = 3
-    x = Tensor(rng.normal(size=(h, w, c)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 1, h, w, c)), requires_grad=True)
     nodes = Tensor(rng.normal(size=(n, c)), requires_grad=True)
     params = NodeAttentionParams(c, "sigmoid", rng)
-    weight = rng.normal(size=(n, h, w, c))
+    weight = rng.normal(size=(1, 1, n, h, w, c))
     return grad_check(
         lambda: _sum_all(tz.mul(node_attention_forward(x, nodes, params), Tensor(weight))),
         [x, nodes, params.weight, params.bias])
@@ -247,14 +247,14 @@ def check_graph_embedding(rng):
     for _ in range(MAX_DRAW_ATTEMPTS):
         draw = np.random.default_rng(rng.integers(1 << 62))
         t_len, n_len, c = 4, 3, 3
-        x = Tensor(draw.normal(size=(t_len, n_len, 1, 1, c)), requires_grad=True)
+        x = Tensor(draw.normal(size=(1, t_len, n_len, 1, 1, c)), requires_grad=True)
         params = GraphEmbeddingParams(c, 3, 3, draw)
-        w = draw.normal(size=(t_len // 3, n_len // 3, 1, 1, c))
+        w = draw.normal(size=(1, t_len // 3, n_len // 3, 1, 1, c))
         tensors = [x, params.time_kernels, params.node_kernels, params.channel_mixer,
                    params.bn.gamma, params.bn.beta]
 
         def f(capture=None):
-            out = graph_embedding_pipeline(x, params, "train", 0, 1, capture=capture)
+            out = graph_embedding_forward(x, params, "train", capture=capture)
             return _sum_all(tz.mul(out, Tensor(w)))
 
         capture: dict = {}

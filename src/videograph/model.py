@@ -8,6 +8,9 @@ layers then run a per-channel convolution along time, another along the node
 axis, a 1x1 channel-mixing convolution, batch norm, relu, and a 3x3
 non-overlapping max pool over the time and node axes. A two-layer classifier
 head maps the spatially averaged, flattened result to class scores.
+
+Every block is batch-first: the model's one forward path takes a batch of
+videos (B, T, H, W, C), and a single video is a batch of one.
 """
 
 from __future__ import annotations
@@ -233,33 +236,39 @@ def _apply_sigma(similarities: Tensor, sigma_kind: str, node_axis: int) -> Tenso
 
 
 def node_attention_forward(x: Tensor, nodes: Tensor, params: NodeAttentionParams) -> Tensor:
-    """Attend one segment feature (H, W, C) to every latent node.
+    """Attend every segment of a batch of videos (B, T, H, W, C) to every node.
 
-    Returns the node-attentive feature (N, H, W, C) where slice j is the
+    Returns the video tensors (B, T, N, H, W, C) where slice [:, :, j] is the
     transformed node j weighted by its similarity to each spatial position.
     """
     x = tz.as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeError(f"segment feature must be (H, W, C); got {x.shape}")
-    h, w, c = x.shape
+    if x.ndim != 5:
+        raise ShapeError(f"batch must be (B, T, H, W, C); got {x.shape}")
+    b, t, h, w, c = x.shape
     if nodes.shape[1] != c:
         raise ShapeError(f"channel mismatch: feature has {c} channels, nodes have {nodes.shape[1]}")
     n = nodes.shape[0]
     y_hat = transformed_nodes(nodes, params)
-    flat = tz.reshape(x, (h * w, c))
-    sims = tz.matmul(flat, tz.transpose(y_hat, (1, 0)))          # (H*W, N)
+    flat = tz.reshape(x, (b * t * h * w, c))
+    sims = tz.matmul(flat, tz.transpose(y_hat, (1, 0)))          # (B*T*H*W, N)
     alpha = _apply_sigma(sims, params.sigma_kind, node_axis=1)
-    alpha_n = tz.transpose(tz.reshape(alpha, (h, w, n)), (2, 0, 1))  # (N, H, W)
-    return tz.mul(tz.reshape(alpha_n, (n, h, w, 1)), tz.reshape(y_hat, (n, 1, 1, c)))
+    alpha = tz.reshape(alpha, (b, t, h, w, n))
+    alpha = tz.transpose(alpha, (0, 1, 4, 2, 3))                 # (B, T, N, H, W)
+    return tz.mul(tz.reshape(alpha, (b, t, n, h, w, 1)), tz.reshape(y_hat, (1, 1, n, 1, 1, c)))
 
 
-def graph_embedding_pipeline(h: Tensor, params: GraphEmbeddingParams, mode: str,
-                             time_axis: int, node_axis: int,
-                             capture: dict | None = None, tag: str = "") -> Tensor:
-    """Conv along time, conv along nodes, channel mix, BN, relu, 3x3 pool."""
+def graph_embedding_forward(h: Tensor, params: GraphEmbeddingParams, mode: str,
+                            capture: dict | None = None, tag: str = "") -> Tensor:
+    """One graph embedding layer over video tensors (B, T, N, H, W, C).
+
+    Conv along time, conv along nodes, channel mix, BN, relu, 3x3 pool.
+    """
+    h = tz.as_tensor(h)
+    if h.ndim != 6:
+        raise ShapeError(f"video tensors must be (B, T, N, H, W, C); got {h.shape}")
     channels = h.shape[-1]
-    h = tz.depthwise_conv1d(h, time_axis, params.time_kernels)
-    h = tz.depthwise_conv1d(h, node_axis, params.node_kernels)
+    h = tz.depthwise_conv1d(h, 1, params.time_kernels)
+    h = tz.depthwise_conv1d(h, 2, params.node_kernels)
     shape = h.shape
     flat = tz.reshape(h, (-1, channels))
     flat = tz.add(tz.matmul(flat, params.channel_mixer), params.channel_bias)
@@ -269,21 +278,8 @@ def graph_embedding_pipeline(h: Tensor, params: GraphEmbeddingParams, mode: str,
         capture[f"{tag}pre_relu"] = h
     h = tz.relu(h)
     if capture is not None:
-        capture[f"{tag}pre_pool"] = (h, (time_axis, node_axis))
-    return tz.max_pool(h, (time_axis, node_axis), kernel=POOL_KERNEL)
-
-
-def graph_embedding_forward(z: Tensor, params: GraphEmbeddingParams, mode: str = "train") -> Tensor:
-    """One graph embedding layer over a single video tensor (T, N, H, W, C)."""
-    z = tz.as_tensor(z)
-    if z.ndim != 5:
-        raise ShapeError(f"video tensor must be (T, N, H, W, C); got {z.shape}")
-    return graph_embedding_pipeline(z, params, mode, time_axis=0, node_axis=1)
-
-
-def videograph_forward(segments: Tensor, model: "VideoGraphModel", mode: str = "eval") -> Tensor:
-    """Class scores for one video's segment features (T, H, W, C)."""
-    return model.forward_video(segments, mode=mode)
+        capture[f"{tag}pre_pool"] = (h, (1, 2))
+    return tz.max_pool(h, (1, 2), kernel=POOL_KERNEL)
 
 
 # ---------------------------------------------------------------------------
@@ -342,41 +338,15 @@ class VideoGraphModel:
         if x.ndim != 5 or x.shape[1:] != (cfg.T, cfg.H, cfg.W, cfg.C):
             raise ShapeError(f"expected batch shaped (B, {cfg.T}, {cfg.H}, {cfg.W}, {cfg.C}); "
                              f"got {x.shape}")
-        b = x.shape[0]
-        rows = b * cfg.T * cfg.H * cfg.W
-
-        y_hat = transformed_nodes(self.nodes, self.attention)
-        flat = tz.reshape(x, (rows, cfg.C))
-        sims = tz.matmul(flat, tz.transpose(y_hat, (1, 0)))        # (rows, N)
-        alpha = _apply_sigma(sims, cfg.sigma_kind, node_axis=1)
-        alpha = tz.reshape(alpha, (b, cfg.T, cfg.H, cfg.W, cfg.N))
-        alpha = tz.transpose(alpha, (0, 1, 4, 2, 3))               # (B, T, N, H, W)
-        z = tz.mul(tz.reshape(alpha, (b, cfg.T, cfg.N, cfg.H, cfg.W, 1)),
-                   tz.reshape(y_hat, (1, 1, cfg.N, 1, 1, cfg.C)))
-
-        h = z
+        h = node_attention_forward(x, self.nodes, self.attention)
         for i, emb in enumerate(self.embeddings):
-            h = graph_embedding_pipeline(h, emb, mode, time_axis=1, node_axis=2,
-                                         capture=capture, tag=f"embed{i}.")
+            h = graph_embedding_forward(h, emb, mode, capture=capture, tag=f"embed{i}.")
         if capture is not None:
             capture["embedding_output"] = h
 
         pooled = tz.mean(h, axes=(3, 4))                           # (B, T', N', C)
-        flat2 = tz.reshape(pooled, (b, self.classifier_input_dim))
+        flat2 = tz.reshape(pooled, (x.shape[0], self.classifier_input_dim))
         return self.classifier.forward(flat2, mode, cfg.label_mode, capture=capture)
-
-    def forward_video(self, segments: Tensor, mode: str = "eval") -> Tensor:
-        """Scores for one video (T, H, W, C) -> (num_classes,)."""
-        segments = tz.as_tensor(segments)
-        if segments.ndim != 4:
-            raise ShapeError(f"segments must be (T, H, W, C); got {segments.shape}")
-        batched = tz.reshape(segments, (1,) + segments.shape)
-        return tz.reshape(self.forward_batch(batched, mode), (self.config.num_classes,))
-
-    def eval_scores(self, features: np.ndarray) -> np.ndarray:
-        """Eval-mode scores for one video as a plain array (deterministic)."""
-        with tz.stop_recording():
-            return self.forward_video(Tensor(features), mode="eval").data.copy()
 
     @property
     def label_mode(self) -> str:
@@ -409,15 +379,6 @@ class MeanPoolBaseline:
             raise ShapeError(f"expected batch shaped (B, T, H, W, C); got {x.shape}")
         pooled = tz.mean_exact(x, axes=(1, 2, 3))                  # (B, C)
         return self.classifier.forward(pooled, mode, self.config.label_mode)
-
-    def forward_video(self, segments: Tensor, mode: str = "eval") -> Tensor:
-        segments = tz.as_tensor(segments)
-        batched = tz.reshape(segments, (1,) + segments.shape)
-        return tz.reshape(self.forward_batch(batched, mode), (self.config.num_classes,))
-
-    def eval_scores(self, features: np.ndarray) -> np.ndarray:
-        with tz.stop_recording():
-            return self.forward_video(Tensor(features), mode="eval").data.copy()
 
     @property
     def label_mode(self) -> str:

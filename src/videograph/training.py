@@ -11,8 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
@@ -29,17 +27,6 @@ from .synthetic import perturbation_indices
 from .tensor import Tape, Tensor
 
 METRIC_HEADER = ("epoch", "train_loss", "train_acc", "val_metric", "mean_node_distance")
-
-
-def max_threads() -> int:
-    """Internal parallelism cap; VIDEOGRAPH_THREADS overrides machine default."""
-    env = os.environ.get("VIDEOGRAPH_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"VIDEOGRAPH_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 @dataclass
@@ -64,10 +51,9 @@ class RunConfig:
     learning_rate: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-5
-    # data and evaluation
+    # data
     train_manifest: str | None = None
     val_manifest: str | None = None
-    eval_perturbation: str = "natural"
     seed: int = 0
 
     def model_config(self) -> VideoGraphConfig:
@@ -190,25 +176,21 @@ def _epoch_pass(model, dataset: Dataset, batch_size: int, order: np.ndarray,
 def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int = 0) -> EvalResult:
     """Eval-mode metrics with the sample time axes permuted as requested.
 
-    Samples are independent, so they are mapped over a thread pool capped by
-    VIDEOGRAPH_THREADS; results are collected in sample order, so the output
-    does not depend on the thread count.
+    Videos are scored one at a time, in sample order, each as a batch of one.
+    Batching them would be faster but not bitwise stable: BLAS picks a
+    different kernel for a single row than for a batch, and the two disagree
+    in the last bits, so a video's score would depend on its batch.
     """
     if model.label_mode != dataset.label_mode:
         raise ValueError(f"model is {model.label_mode}-label but dataset is {dataset.label_mode}-label")
 
-    def score_one(i: int) -> np.ndarray:
-        feats = dataset.features[i]
-        idx = perturbation_indices(feats.shape[0], perturbation,
-                                   seed=int(np.random.SeedSequence((seed, i)).generate_state(1)[0]))
-        return model.eval_scores(feats[idx])
-
-    workers = min(max_threads(), len(dataset))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = np.stack(list(pool.map(score_one, range(len(dataset)))))
-    else:
-        scores = np.stack([score_one(i) for i in range(len(dataset))])
+    rows = []
+    with tz.stop_recording():
+        for i, feats in enumerate(dataset.features):
+            idx = perturbation_indices(feats.shape[0], perturbation,
+                                       seed=int(np.random.SeedSequence((seed, i)).generate_state(1)[0]))
+            rows.append(model.forward_batch(Tensor(feats[idx][None]), mode="eval").data[0])
+    scores = np.stack(rows)
     if dataset.label_mode == "single":
         predictions = scores.argmax(axis=1)
         return EvalResult("accuracy", accuracy(predictions, dataset.labels),

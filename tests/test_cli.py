@@ -49,9 +49,16 @@ class TestUsageErrors:
         assert "--config" in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["shapes", "--config", "x.json", "--frobnicate"])
-        assert exc.value.code == 2
+        # --perturb belongs to eval alone; every other subcommand rejects it
+        perturb = ["--perturb", "random"]
+        for argv in (["shapes", "--config", "x.json", "--frobnicate"],
+                     ["train", "--config", "x.json", "--out", "y", *perturb],
+                     ["gen-data", *perturb], ["gradcheck", *perturb], ["shapes", *perturb],
+                     ["extract-graph", *perturb], ["report", *perturb]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_perturb_value(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -75,10 +82,13 @@ class TestValidationErrors:
 
     def test_unknown_config_key_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"TT": 8}))
-        code, _, err = run_cli(capsys, "shapes", "--config", str(cfg))
-        assert code == 1
-        assert "unknown run config keys" in err
+        # a key removed from RunConfig is as unknown as a misspelt one
+        for key, value in (("TT", 8), ("eval_perturbation", "natural")):
+            cfg.write_text(json.dumps({key: value}))
+            code, _, err = run_cli(capsys, "shapes", "--config", str(cfg))
+            assert code == 1
+            assert "unknown run config keys" in err
+            assert repr(key) in err
 
 
 class TestShapes:
@@ -221,24 +231,3 @@ class TestGradcheckCommand:
         assert code == 1
         assert "depthwise_conv1d" in err
 
-
-class TestThreadCap:
-    def test_env_override(self, monkeypatch):
-        from videograph.training import max_threads
-        monkeypatch.setenv("VIDEOGRAPH_THREADS", "2")
-        assert max_threads() == 2
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        from videograph.training import max_threads
-        monkeypatch.setenv("VIDEOGRAPH_THREADS", "many")
-        with pytest.raises(ValueError, match="VIDEOGRAPH_THREADS"):
-            max_threads()
-
-    def test_single_thread_evaluation_matches_parallel(self, workspace, monkeypatch, capsys):
-        args = ("eval", "--checkpoint", str(workspace / "run" / "checkpoint"),
-                "--data", str(workspace / "data"), "--perturb", "reversed")
-        monkeypatch.setenv("VIDEOGRAPH_THREADS", "1")
-        _, out_single, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("VIDEOGRAPH_THREADS", "4")
-        _, out_parallel, _ = run_cli(capsys, *args)
-        assert out_single == out_parallel

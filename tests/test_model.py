@@ -22,55 +22,55 @@ def make_attention_params(channels, sigma_kind="sigmoid", seed=0, identity=False
 
 class TestNodeAttention:
     def test_full_scale_shape(self):
-        x = Tensor(np.zeros((7, 7, 1024)))
+        x = Tensor(np.zeros((1, 1, 7, 7, 1024)))
         nodes = Tensor(np.zeros((128, 1024)))
         out = node_attention_forward(x, nodes, make_attention_params(1024))
-        assert out.shape == (128, 7, 7, 1024)
+        assert out.shape == (1, 1, 128, 7, 7, 1024)
 
     def test_zero_input_gives_half_attention(self):
         rng = np.random.default_rng(1)
         nodes = Tensor(rng.normal(size=(5, 3)))
         params = make_attention_params(3, seed=2)
-        out = node_attention_forward(Tensor(np.zeros((2, 2, 3))), nodes, params)
+        out = node_attention_forward(Tensor(np.zeros((2, 4, 2, 2, 3))), nodes, params)
         y_hat = transformed_nodes(nodes, params).data
-        expected = 0.5 * np.broadcast_to(y_hat[:, None, None, :], (5, 2, 2, 3))
+        expected = 0.5 * np.broadcast_to(y_hat[:, None, None, :], (2, 4, 5, 2, 2, 3))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_single_node_self_similarity(self):
         # w=I, b=0, one node equal to the input with squared norm 3
         y = np.array([[1.0, 1.0, 1.0]])
         params = make_attention_params(3, identity=True)
-        out = node_attention_forward(Tensor(y.reshape(1, 1, 3)), Tensor(y), params)
+        out = node_attention_forward(Tensor(y.reshape(1, 1, 1, 1, 3)), Tensor(y), params)
         sig3 = 1.0 / (1.0 + np.exp(-3.0))
-        np.testing.assert_allclose(out.data, (sig3 * y).reshape(1, 1, 1, 3), atol=1e-12)
+        np.testing.assert_allclose(out.data, (sig3 * y).reshape(1, 1, 1, 1, 1, 3), atol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel"):
-            node_attention_forward(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((4, 5))),
+            node_attention_forward(Tensor(np.zeros((1, 1, 2, 2, 3))), Tensor(np.zeros((4, 5))),
                                    make_attention_params(5))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
     def test_node_permutation_equivariance(self, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(2, 3, 4)))
+        x = Tensor(rng.normal(size=(2, 3, 2, 3, 4)))
         nodes = rng.normal(size=(6, 4))
         params = make_attention_params(4, seed=seed)
         perm = rng.permutation(6)
         out = node_attention_forward(x, Tensor(nodes), params).data
         out_perm = node_attention_forward(x, Tensor(nodes[perm]), params).data
-        np.testing.assert_array_equal(out_perm, out[perm])
+        np.testing.assert_array_equal(out_perm, out[:, :, perm])
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
     def test_attention_ranges(self, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(2, 2, 4)))
+        x = Tensor(rng.normal(size=(2, 3, 2, 2, 4)))
         nodes = Tensor(rng.normal(size=(5, 4)))
         sig = node_attention_forward(x, nodes, make_attention_params(4, "sigmoid", seed))
         y_hat = transformed_nodes(nodes, make_attention_params(4, "sigmoid", seed)).data
-        alpha = sig.data[:, :, :, 0] / np.where(y_hat[:, None, None, 0] != 0,
-                                                y_hat[:, None, None, 0], 1.0)
+        alpha = sig.data[..., 0] / np.where(y_hat[:, None, None, 0] != 0,
+                                            y_hat[:, None, None, 0], 1.0)
         assert np.all((alpha > 0) & (alpha < 1))
 
         params = make_attention_params(4, "softmax_over_nodes", seed)
@@ -78,7 +78,7 @@ class TestNodeAttention:
         y_hat = transformed_nodes(nodes, params).data
         # recover alpha by dividing out the node features, then sum over nodes
         ratio = out / y_hat[:, None, None, :]
-        np.testing.assert_allclose(ratio.sum(axis=0), 1.0, atol=1e-9)
+        np.testing.assert_allclose(ratio.sum(axis=2), 1.0, atol=1e-9)
 
 
 class TestGraphEmbedding:
@@ -86,7 +86,7 @@ class TestGraphEmbedding:
         """Delta kernels + identity mix + absorbing BN reduce to pool(relu(z))."""
         rng = np.random.default_rng(0)
         c = 4
-        z = rng.normal(size=(6, 5, 2, 2, c))
+        z = rng.normal(size=(2, 6, 5, 2, 2, c))
         params = GraphEmbeddingParams(c, 3, 3, rng)
         params.time_kernels = Tensor(np.tile([0.0, 1.0, 0.0], (c, 1)), requires_grad=True)
         params.node_kernels = Tensor(np.tile([0.0, 1.0, 0.0], (c, 1)), requires_grad=True)
@@ -99,7 +99,7 @@ class TestGraphEmbedding:
         params.bn.initialized = True
 
         out = graph_embedding_forward(Tensor(z), params, mode="eval")
-        expected = tz.max_pool(tz.relu(Tensor(z)), (0, 1)).data
+        expected = tz.max_pool(tz.relu(Tensor(z)), (1, 2)).data
         # gamma * inv_std is 1 only up to one rounding of sqrt(1 + eps)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
@@ -108,13 +108,13 @@ class TestGraphEmbedding:
         # constancy at the borders before it reaches the normalization
         c = 3
         rng = np.random.default_rng(1)
-        z = np.full((3, 3, 1, 1, c), 2.0)
+        z = np.full((1, 3, 3, 1, 1, c), 2.0)
         params = GraphEmbeddingParams(c, 3, 3, rng)
         params.time_kernels = Tensor(np.tile([0.0, 1.0, 0.0], (c, 1)), requires_grad=True)
         params.node_kernels = Tensor(np.tile([0.0, 1.0, 0.0], (c, 1)), requires_grad=True)
         params.bn.beta = Tensor(rng.normal(size=c), requires_grad=True)
         out = graph_embedding_forward(Tensor(z), params, mode="train")
-        assert out.shape == (1, 1, 1, 1, c)
+        assert out.shape == (1, 1, 1, 1, 1, c)
         # constant input has zero batch variance: BN maps it to beta, then relu
         expected = np.maximum(params.bn.beta.data, 0.0)
         np.testing.assert_allclose(out.data.reshape(c), expected.reshape(c), atol=1e-2)
@@ -221,13 +221,14 @@ class TestModelDeterminism:
     def test_eval_forward_bitwise_deterministic(self):
         cfg = desk_config(seed=4)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(16, 1, 1, 16))
+        x = Tensor(rng.normal(size=(1, 16, 1, 1, 16)))
         batch = Tensor(rng.normal(size=(4, 16, 1, 1, 16)))
 
         def fresh_scores():
             model = VideoGraphModel(desk_config(seed=4))
             model.forward_batch(batch, mode="train")
-            return model.eval_scores(x)
+            with tz.stop_recording():
+                return model.forward_batch(x, mode="eval").data
 
         a, b = fresh_scores(), fresh_scores()
         np.testing.assert_array_equal(a, b)
@@ -241,9 +242,8 @@ class TestModelDeterminism:
         np.testing.assert_allclose(scores.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_single_video_forward(self):
-        from videograph.model import videograph_forward
         model = VideoGraphModel(desk_config(num_classes=4))
-        segments = Tensor(np.random.default_rng(2).normal(size=(16, 1, 1, 16)))
-        scores = videograph_forward(segments, model, mode="train")
-        assert scores.shape == (4,)
+        segments = Tensor(np.random.default_rng(2).normal(size=(1, 16, 1, 1, 16)))
+        scores = model.forward_batch(segments, mode="train")
+        assert scores.shape == (1, 4)
         assert np.all(np.isfinite(scores.data))

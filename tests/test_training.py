@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from videograph import tensor as tz
 from videograph.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from videograph.datasets import Dataset, dataset_from_generated, load_manifest, write_manifest
 from videograph.metrics import mean_average_precision
 from videograph.synthetic import DatasetConfig, generate_samples
+from videograph.tensor import Tensor
 from videograph.training import MetricLog, RunConfig, build_model, evaluate, train
 
 
@@ -58,6 +60,12 @@ def tiny_dataset(num_classes=2, per_class=6, seed=0, **kwargs):
     return dataset_from_generated(generate_samples(cfg, per_class, salt=0)), cfg
 
 
+def eval_one(model, features):
+    """Eval-mode scores for one video, run as a batch of one."""
+    with tz.stop_recording():
+        return model.forward_batch(Tensor(features[None]), mode="eval").data[0]
+
+
 class _OracleStub:
     """Predicts the true label with certainty; time order is irrelevant."""
     label_mode = "single"
@@ -69,11 +77,11 @@ class _OracleStub:
                               for feat, label in zip(dataset.features, dataset.labels)}
         self.num_classes = num_classes
 
-    def eval_scores(self, features):
-        label = self.sorted_lookup[np.sort(features, axis=0).tobytes()]
-        scores = np.zeros(self.num_classes)
-        scores[label] = 1.0
-        return scores
+    def forward_batch(self, x, mode="train"):
+        scores = np.zeros((x.shape[0], self.num_classes))
+        for row, features in zip(scores, x.data):
+            row[self.sorted_lookup[np.sort(features, axis=0).tobytes()]] = 1.0
+        return Tensor(scores)
 
 
 class _RandomStub:
@@ -83,8 +91,8 @@ class _RandomStub:
         self.num_classes = num_classes
         self.rng = np.random.default_rng(seed)
 
-    def eval_scores(self, features):
-        return self.rng.uniform(size=self.num_classes)
+    def forward_batch(self, x, mode="train"):
+        return Tensor(self.rng.uniform(size=(x.shape[0], self.num_classes)))
 
 
 class TestEvaluate:
@@ -101,10 +109,12 @@ class TestEvaluate:
 
     def test_natural_equals_untouched(self):
         ds, _ = tiny_dataset(seed=2)
-        model = _OracleStub(ds, 2)
-        scores_direct = np.stack([model.eval_scores(f) for f in ds.features])
-        result = evaluate(model, ds, perturbation="natural", seed=9)
-        np.testing.assert_array_equal(result.scores, scores_direct)
+        trained = [train(RunConfig(num_classes=2, epochs=2, seed=2), ds, val_dataset=ds,
+                         baseline=baseline)[0] for baseline in (False, True)]
+        for model in [_OracleStub(ds, 2)] + trained:
+            scores_direct = np.stack([eval_one(model, f) for f in ds.features])
+            result = evaluate(model, ds, perturbation="natural", seed=9)
+            assert result.scores.tobytes() == scores_direct.tobytes()
 
     def test_label_mode_mismatch_rejected(self):
         ds, _ = tiny_dataset()
@@ -124,18 +134,18 @@ class TestMeanPoolBaseline:
     def test_any_time_permutation_bitwise_identical(self):
         model, ds = self._trained_baseline()
         feats = ds.features[0]
-        base = model.eval_scores(feats)
+        base = eval_one(model, feats)
         rng = np.random.default_rng(5)
         for _ in range(5):
             perm = rng.permutation(feats.shape[0])
-            np.testing.assert_array_equal(model.eval_scores(feats[perm]), base)
+            np.testing.assert_array_equal(eval_one(model, feats[perm]), base)
 
     def test_constant_segments_equal_single_segment(self):
         model, ds = self._trained_baseline(seed=1)
         one = np.random.default_rng(3).normal(size=(1, 1, 1, 16))
         tiled = np.broadcast_to(one, (16, 1, 1, 16)).copy()
-        np.testing.assert_allclose(model.eval_scores(tiled),
-                                   model.eval_scores(np.repeat(one, 16, axis=0)), atol=0)
+        np.testing.assert_allclose(eval_one(model, tiled),
+                                   eval_one(model, np.repeat(one, 16, axis=0)), atol=0)
 
     def test_evaluate_drop_is_exactly_zero(self):
         model, ds = self._trained_baseline(seed=2)
