@@ -356,8 +356,8 @@ class VideoGraphModel:
 class MeanPoolBaseline:
     """Orderless control model: average features over time and space, classify.
 
-    The average uses correctly-rounded summation, so any permutation of the
-    time axis produces bit-identical scores.
+    The average sorts the pooled values before summing them (`mean_exact`),
+    so any permutation of the time axis produces bit-identical scores.
     """
 
     def __init__(self, config: VideoGraphConfig):

@@ -14,7 +14,6 @@ Conventions fixed here so results are reproducible:
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Callable, Sequence
 
@@ -241,21 +240,24 @@ def mean(x: Tensor, axes, keepdims: bool = False) -> Tensor:
 
 
 def mean_exact(x: Tensor, axes) -> Tensor:
-    """Mean over axes with correctly-rounded (order-independent) summation.
+    """Mean over axes, bitwise independent of the order of the pooled values.
 
-    Uses math.fsum per output position, so permuting elements along the
-    reduced axes cannot change the result even in the last bit. Intended for
-    the orderless pooling baseline; O(size) python loop, desk scale only.
+    The pooled values are moved to a leading axis and sorted along it, so any
+    permutation of them yields the same array; np.add.reduce along that
+    leading axis then adds whole rows elementwise, one after another, so the
+    summation order of every output is fixed by the sort alone. A sum along
+    the contiguous last axis would instead be grouped by numpy's pairwise
+    SIMD kernel, whose grouping numpy does not promise to keep fixed across
+    buffer alignments. Intended for the orderless pooling baseline.
     """
     x = as_tensor(x)
     axes = tuple(sorted(ax % x.ndim for ax in (axes if isinstance(axes, (tuple, list)) else (axes,))))
     keep = [i for i in range(x.ndim) if i not in axes]
-    moved = np.transpose(x.data, keep + list(axes))
     out_shape = tuple(x.shape[i] for i in keep)
     count = int(np.prod([x.shape[i] for i in axes], dtype=np.int64))
-    flat = moved.reshape(-1, count)
-    vals = np.array([math.fsum(row) for row in flat], dtype=x.data.dtype) / count
-    out = Tensor(vals.reshape(out_shape), check_finite=False)
+    pooled = np.transpose(x.data, list(axes) + keep).reshape((count,) + out_shape)
+    vals = np.add.reduce(np.sort(pooled, axis=0), axis=0) / count
+    out = Tensor(vals, check_finite=False)
 
     def backward(g):
         gx = np.broadcast_to(np.expand_dims(g, axes) / count, x.shape)
@@ -336,6 +338,14 @@ def depthwise_conv1d(x: Tensor, axis: int, kernels: Tensor) -> Tensor:
     The trailing axis of x is the channel axis; output channel c depends only
     on input channel c. Same zero padding, so the output shape equals the
     input shape.
+
+    Computed as one batched matmul per channel against a dense L x L band
+    (Toeplitz) matrix, L being the length of the convolved axis: the zero
+    padding lives in the band, and the kernel gradient is the sum of each
+    band gradient diagonal. The dense band spends L multiply-adds per output
+    value instead of k. At desk shapes (L = 16 along time, 8 along nodes) that
+    costs little; at full scale (N = 128 nodes, k = 7) the node-axis conv
+    would execute about 18x its useful FLOPs.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     if kernels.ndim != 2:
@@ -349,27 +359,23 @@ def depthwise_conv1d(x: Tensor, axis: int, kernels: Tensor) -> Tensor:
     if axis == x.ndim - 1:
         raise ShapeError("cannot convolve along the channel axis")
 
-    pad = k // 2
-    moved = np.moveaxis(x.data, axis, -2)  # (..., L, C)
-    length = moved.shape[-2]
-    pad_spec = [(0, 0)] * moved.ndim
-    pad_spec[-2] = (pad, pad)
-    padded = np.pad(moved, pad_spec)
-    out_m = np.zeros_like(moved)
-    for j in range(k):
-        out_m += padded[..., j:j + length, :] * kernels.data[:, j]
-    out = Tensor(np.moveaxis(out_m, -2, axis), check_finite=False)
+    moved = np.moveaxis(x.data, (-1, axis), (0, -1))         # (C, ..., L)
+    length = moved.shape[-1]
+    x3 = moved.reshape(channels, -1, length)                  # (C, M, L)
+    # taps[j, s, i] = 1 where output i reads input s through tap j
+    offsets = np.arange(length)[:, None] - np.arange(length)[None, :]
+    taps = (offsets == (np.arange(k) - k // 2)[:, None, None]).astype(x.data.dtype)
+    taps = taps.reshape(k, length * length)
+    band = (kernels.data @ taps).reshape(channels, length, length)  # (C, L, L)
+    out3 = x3 @ band
+    out = Tensor(np.moveaxis(out3.reshape(moved.shape), (0, -1), (-1, axis)), check_finite=False)
 
     def backward(g):
-        g_m = np.moveaxis(g, axis, -2)
-        gx_pad = np.zeros_like(padded)
-        gk = np.zeros_like(kernels.data)
-        reduce_axes = tuple(range(g_m.ndim - 1))
-        for j in range(k):
-            gx_pad[..., j:j + length, :] += g_m * kernels.data[:, j]
-            gk[:, j] = (padded[..., j:j + length, :] * g_m).sum(axis=reduce_axes)
-        gx = np.moveaxis(gx_pad[..., pad:pad + length, :], -2, axis)
-        return (gx, gk)
+        g3 = np.moveaxis(g, (-1, axis), (0, -1)).reshape(x3.shape)
+        gx3 = g3 @ band.transpose(0, 2, 1)
+        gband = x3.transpose(0, 2, 1) @ g3
+        gk = gband.reshape(channels, -1) @ taps.T             # sums each diagonal
+        return (np.moveaxis(gx3.reshape(moved.shape), (0, -1), (-1, axis)), gk)
 
     return _maybe_record(out, (x, kernels), backward)
 
@@ -490,14 +496,10 @@ def batch_norm(x: Tensor, channel_axis: int, state: BatchNormState, mode: str) -
     def backward(g):
         g_gamma = (g * xhat).sum(axis=reduce_axes)
         g_beta = g.sum(axis=reduce_axes)
-        g_xhat = g * gamma_b
         if mode == "train":
-            mean_g = g_xhat.mean(axis=reduce_axes, keepdims=True)
-            mean_gx = (g_xhat * xhat).mean(axis=reduce_axes, keepdims=True)
-            gx = inv * (g_xhat - mean_g - xhat * mean_gx)
-        else:
-            gx = g_xhat * inv
-        return (gx, g_gamma, g_beta)
+            n = x.size // channels
+            g = g - g_beta.reshape(bshape) / n - xhat * (g_gamma.reshape(bshape) / n)
+        return (g * (gamma_b * inv), g_gamma, g_beta)
 
     return _maybe_record(out, (x, state.gamma, state.beta), backward)
 

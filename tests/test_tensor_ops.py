@@ -1,5 +1,7 @@
 """Forward-pass contracts of the tensor ops, checked against naive oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,39 @@ def naive_conv1d_same(x, kernel):
     pad = k // 2
     padded = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
     return np.array([sum(padded[i + j] * kernel[j] for j in range(k)) for i in range(len(x))])
+
+
+def tap_loop_conv(x, axis, kernels, g):
+    """Depthwise same convolution as a loop over the k taps, with its backward.
+
+    Returns (out, gx, gk) where gx and gk are the gradients of sum(out * g).
+    """
+    k = kernels.shape[1]
+    pad = k // 2
+    moved = np.moveaxis(x, axis, -2)  # (..., L, C)
+    length = moved.shape[-2]
+    pad_spec = [(0, 0)] * moved.ndim
+    pad_spec[-2] = (pad, pad)
+    padded = np.pad(moved, pad_spec)
+    out_m = np.zeros_like(moved)
+    g_m = np.moveaxis(g, axis, -2)
+    gx_pad = np.zeros_like(padded)
+    gk = np.zeros_like(kernels)
+    reduce_axes = tuple(range(g_m.ndim - 1))
+    for j in range(k):
+        out_m += padded[..., j:j + length, :] * kernels[:, j]
+        gx_pad[..., j:j + length, :] += g_m * kernels[:, j]
+        gk[:, j] = (padded[..., j:j + length, :] * g_m).sum(axis=reduce_axes)
+    gx = np.moveaxis(gx_pad[..., pad:pad + length, :], -2, axis)
+    return np.moveaxis(out_m, -2, axis), gx, gk
+
+
+def misaligned_copy(a, offset):
+    """Copy of a in a buffer that starts `offset` bytes past an allocation."""
+    buf = np.empty(a.nbytes + offset, dtype=np.uint8)
+    view = buf[offset:offset + a.nbytes].view(a.dtype).reshape(a.shape)
+    view[...] = a
+    return view
 
 
 class TestMatmul:
@@ -83,6 +118,27 @@ class TestDepthwiseConv:
             np.testing.assert_allclose(out.data[:, c], naive_conv1d_same(x[:, c], kernels[c]),
                                        atol=1e-12)
 
+    @given(st.sampled_from([1, 2]), st.integers(1, 20), st.sampled_from([3, 5, 7]),
+           st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_six_d_forward_and_gradients_match_tap_loop(self, axis, length, k, seed):
+        rng = np.random.default_rng(seed)
+        shape = [int(v) for v in rng.integers(1, [4, 5, 5, 3, 3, 4])]
+        shape[axis] = length
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        kernels = Tensor(rng.normal(size=(shape[-1], k)), requires_grad=True)
+        g = rng.normal(size=shape)
+        with tz.Tape() as tape:
+            out = tz.depthwise_conv1d(x, axis, kernels)
+            # sum(out * g) through a ones matmul, so the upstream gradient is g exactly
+            total = tz.matmul(tz.reshape(tz.mul(out, Tensor(g)), (1, out.size)),
+                              Tensor(np.ones((out.size, 1))))
+            tape.backward(total)
+        ref_out, ref_gx, ref_gk = tap_loop_conv(x.data, axis, kernels.data, g)
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, ref_gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernels.grad, ref_gk, rtol=0, atol=1e-12)
+
     def test_time_kernel_preserves_length(self):
         x = Tensor(np.zeros((64, 4, 8)))
         out = tz.depthwise_conv1d(x, 0, Tensor(np.zeros((8, 7))))
@@ -107,6 +163,24 @@ class TestDepthwiseConv:
         rhs = (a * tz.depthwise_conv1d(Tensor(x), 0, kernels).data
                + b * tz.depthwise_conv1d(Tensor(y), 0, kernels).data)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+class TestMeanExact:
+    @given(st.sampled_from([1, 3, 8]), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_pooled_axes_permutation_bitwise_invariant(self, batch, seed):
+        rng = np.random.default_rng(seed)
+        t_len, h, w, c = (int(v) for v in rng.integers(1, [17, 4, 4, 17]))
+        x = rng.normal(size=(batch, t_len, h, w, c))
+        ref = tz.mean_exact(Tensor(x), axes=(1, 2, 3)).data
+        perm = x[:, rng.permutation(t_len)][:, :, rng.permutation(h)][:, :, :, rng.permutation(w)]
+        moved = misaligned_copy(perm, 8 * int(rng.integers(0, 8)))
+        got = tz.mean_exact(Tensor(moved), axes=(1, 2, 3)).data
+        assert got.tobytes() == ref.tobytes()
+        count = t_len * h * w
+        oracle = np.array([[math.fsum(x[b, ..., ch].ravel()) / count for ch in range(c)]
+                           for b in range(batch)])
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-14)
 
 
 class TestActivations:
