@@ -85,20 +85,24 @@ def collect_activation_stacks(model, dataset) -> dict[int, ActivationStack]:
     """Per-class activation stacks from eval-mode forwards (single-label only).
 
     The final embedding layer's output is averaged over the spatial grid, so
-    each video contributes a (T', N', C) slice to its class's stack.
+    each video contributes a (T', N', C) slice to its class's stack. Videos
+    run in the chunks `evaluate` uses.
     """
     from . import tensor as tz
+    from .model import eval_chunks
     from .tensor import Tensor
 
     if dataset.label_mode != "single":
         raise ValueError("activity graphs are extracted per class; needs a single-label dataset")
     per_class: dict[int, list[np.ndarray]] = {}
     with tz.stop_recording():
-        for feats, label in zip(dataset.features, dataset.labels):
+        for chunk in eval_chunks(dataset.features):
             capture: dict = {}
-            model.forward_batch(Tensor(feats[None]), mode="eval", capture=capture)
-            emb = capture["embedding_output"].data[0]          # (T', N', H, W, C)
-            per_class.setdefault(int(label), []).append(emb.mean(axis=(2, 3)))
+            model.forward_batch(Tensor(np.stack(dataset.features[chunk])), mode="eval",
+                                capture=capture)
+            # emb: (T', N', H, W, C) per video
+            for emb, label in zip(capture["embedding_output"].data, dataset.labels[chunk]):
+                per_class.setdefault(int(label), []).append(emb.mean(axis=(2, 3)))
     return {cid: ActivationStack(np.stack(slices)) for cid, slices in sorted(per_class.items())}
 
 

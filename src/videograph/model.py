@@ -26,6 +26,11 @@ from .tensor import BatchNormState, ShapeError, Tensor
 
 POOL_KERNEL = 3
 
+# Feature values per eval-mode forward call when scoring many videos: 32 desk
+# videos (16 x 16 values each), or 3 at H = W = 3. Sized by values, not
+# videos, so that peak memory stays flat across grid sizes.
+EVAL_VALUES_PER_CALL = 8192
+
 SIGMA_KINDS = ("sigmoid", "softmax_over_nodes", "tanh")
 INIT_STRATEGIES = ("random", "sobol", "kmeans")
 LABEL_MODES = ("single", "multi")
@@ -65,6 +70,15 @@ class VideoGraphConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def eval_chunks(features) -> list[slice]:
+    """Slices of a list of same-shaped videos, one eval-mode forward call each.
+
+    A call holds EVAL_VALUES_PER_CALL feature values, and at least one video.
+    """
+    step = max(1, EVAL_VALUES_PER_CALL // features[0].size) if len(features) else 1
+    return [slice(start, start + step) for start in range(0, len(features), step)]
 
 
 def full_scale_config(num_classes: int = 12) -> VideoGraphConfig:
@@ -190,7 +204,9 @@ class ClassifierHead:
     """Two fully connected layers with batch norm and relu in between.
 
     The first layer carries no bias: batch norm directly after it would
-    cancel any per-feature shift anyway.
+    cancel any per-feature shift anyway. Its products are the only ones in
+    the model whose row count is the number of videos, so both take each
+    video's row on its own: eval-mode scores do not depend on the batch.
     """
 
     def __init__(self, input_dim: int, hidden: int, num_classes: int, rng: np.random.Generator):
@@ -200,12 +216,12 @@ class ClassifierHead:
         self.fc2_bias = Tensor(np.zeros((1, num_classes)), requires_grad=True)
 
     def forward(self, x: Tensor, mode: str, label_mode: str, capture: dict | None = None) -> Tensor:
-        h = tz.matmul(x, self.fc1_weight)
+        h = tz.matmul(x, self.fc1_weight, independent_rows=True)
         h = tz.batch_norm(h, 1, self.bn, mode)
         if capture is not None:
             capture["classifier.pre_relu"] = h
         h = tz.relu(h)
-        logits = tz.add(tz.matmul(h, self.fc2_weight), self.fc2_bias)
+        logits = tz.add(tz.matmul(h, self.fc2_weight, independent_rows=True), self.fc2_bias)
         if label_mode == "single":
             return tz.softmax(logits, axis=1)
         return tz.sigmoid(logits)

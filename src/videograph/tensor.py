@@ -270,11 +270,20 @@ def mean_exact(x: Tensor, axes) -> Tensor:
 # Linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, independent_rows: bool = False) -> Tensor:
+    """(m, k) x (k, p) product.
+
+    With independent_rows, each output row is computed as its own (1, k)
+    product, so it is bitwise the same whatever other rows share the call.
+    A plain GEMM does not promise that: BLAS picks its kernel by the row
+    count, and OpenBLAS rounds narrow outputs differently at m <= 3 than at
+    m >= 4. The backward is the plain one.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul requires (m,k) x (k,p); got {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data, check_finite=False)
+    product = (a.data[:, None, :] @ b.data)[:, 0, :] if independent_rows else a.data @ b.data
+    out = Tensor(product, check_finite=False)
     return _maybe_record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
@@ -418,11 +427,10 @@ def max_pool(x: Tensor, axes, kernel: int = 3) -> Tensor:
     moved = np.moveaxis(windowed, win_pos, range(windowed.ndim - m, windowed.ndim))
     out_shape = moved.shape[:-m]
     flat_w = moved.reshape(out_shape + (kernel ** m,))
-    idx = flat_w.argmax(axis=-1)
-    out_data = np.take_along_axis(flat_w, idx[..., None], axis=-1)[..., 0]
-    out = Tensor(out_data, check_finite=False)
+    out = Tensor(flat_w.max(axis=-1), check_finite=False)
 
     def backward(g):
+        idx = flat_w.argmax(axis=-1)
         gw = np.zeros_like(flat_w)
         np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
         gw = gw.reshape(moved.shape)

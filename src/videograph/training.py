@@ -21,7 +21,7 @@ from .analysis import track_node_distances
 from .checkpoint import save_checkpoint
 from .datasets import Dataset
 from .metrics import accuracy, mean_average_precision
-from .model import MeanPoolBaseline, VideoGraphConfig, VideoGraphModel
+from .model import MeanPoolBaseline, VideoGraphConfig, VideoGraphModel, eval_chunks
 from .optim import SgdMomentum
 from .synthetic import perturbation_indices
 from .tensor import Tape, Tensor
@@ -176,21 +176,26 @@ def _epoch_pass(model, dataset: Dataset, batch_size: int, order: np.ndarray,
 def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int = 0) -> EvalResult:
     """Eval-mode metrics with the sample time axes permuted as requested.
 
-    Videos are scored one at a time, in sample order, each as a batch of one.
-    Batching them would be faster but not bitwise stable: BLAS picks a
-    different kernel for a single row than for a batch, and the two disagree
-    in the last bits, so a video's score would depend on its batch.
+    Video i's time axis is permuted with a seed drawn from (seed, i). The
+    videos are scored in chunks of `eval_chunks`, one eval-mode forward call
+    each. A video's scores do not depend on its chunk: eval mode has no
+    cross-video statistics, and the classifier head computes each video's
+    row on its own, so the scores are bitwise those of a batch of one.
     """
     if model.label_mode != dataset.label_mode:
         raise ValueError(f"model is {model.label_mode}-label but dataset is {dataset.label_mode}-label")
 
-    rows = []
+    def perturbed(i: int) -> np.ndarray:
+        feats = dataset.features[i]
+        state = np.random.SeedSequence((seed, i)).generate_state(1)[0]
+        return feats[perturbation_indices(feats.shape[0], perturbation, seed=int(state))]
+
+    parts = []
     with tz.stop_recording():
-        for i, feats in enumerate(dataset.features):
-            idx = perturbation_indices(feats.shape[0], perturbation,
-                                       seed=int(np.random.SeedSequence((seed, i)).generate_state(1)[0]))
-            rows.append(model.forward_batch(Tensor(feats[idx][None]), mode="eval").data[0])
-    scores = np.stack(rows)
+        for chunk in eval_chunks(dataset.features):
+            batch = np.stack([perturbed(i) for i in range(len(dataset))[chunk]])
+            parts.append(model.forward_batch(Tensor(batch), mode="eval").data)
+    scores = np.concatenate(parts)
     if dataset.label_mode == "single":
         predictions = scores.argmax(axis=1)
         return EvalResult("accuracy", accuracy(predictions, dataset.labels),

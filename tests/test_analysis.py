@@ -83,6 +83,7 @@ class TestExtraction:
             ActivationStack(np.full((1, 2, 2, 2), -1.0))
 
     def test_collect_stacks_from_model(self):
+        from videograph import tensor as tz
         from videograph.datasets import dataset_from_generated
         from videograph.model import VideoGraphModel, desk_config
         from videograph.synthetic import DatasetConfig, generate_samples
@@ -94,6 +95,15 @@ class TestExtraction:
         stacks = collect_activation_stacks(model, ds)
         assert sorted(stacks) == [0, 1]
         assert stacks[0].activations.shape == (3, 5, 2, 16)
+        # bitwise the per-video captures, although the videos run as one batch
+        for label in (0, 1):
+            per_video = []
+            for feats in np.asarray(ds.features)[ds.labels == label]:
+                capture = {}
+                with tz.stop_recording():
+                    model.forward_batch(Tensor(feats[None]), mode="eval", capture=capture)
+                per_video.append(capture["embedding_output"].data[0].mean(axis=(2, 3)))
+            assert stacks[label].activations.tobytes() == np.stack(per_video).tobytes()
 
 
 class TestForceLayout:

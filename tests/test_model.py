@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from videograph import tensor as tz
-from videograph.model import (GraphEmbeddingParams, NodeAttentionParams, VideoGraphConfig,
-                              VideoGraphModel, desk_config, graph_embedding_forward,
-                              init_latent_nodes, node_attention_forward, full_scale_config,
-                              shape_inference, transformed_nodes)
+from videograph.model import (GraphEmbeddingParams, MeanPoolBaseline, NodeAttentionParams,
+                              VideoGraphConfig, VideoGraphModel, desk_config,
+                              graph_embedding_forward, init_latent_nodes, node_attention_forward,
+                              full_scale_config, shape_inference, transformed_nodes)
 from videograph.tensor import ShapeError, Tensor
 
 
@@ -232,6 +232,32 @@ class TestModelDeterminism:
 
         a, b = fresh_scores(), fresh_scores()
         np.testing.assert_array_equal(a, b)
+
+    @given(st.sampled_from([VideoGraphModel, MeanPoolBaseline]), st.sampled_from([2, 3]),
+           st.sampled_from([3, 5, 9, 11]), st.sampled_from([3, 5, 7]), st.sampled_from([1, 3]),
+           st.sampled_from([1, 3]), st.integers(1, 9), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_eval_rows_independent_of_batch_composition(self, model_cls, num_classes, t_len,
+                                                        n_len, h, w, videos, seed):
+        cfg = VideoGraphConfig(T=t_len, N=n_len, H=h, W=w, C=5, num_classes=num_classes,
+                               num_embedding_layers=1, classifier_hidden=16, seed=seed)
+        model = model_cls(cfg)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(videos, t_len, h, w, 5))
+        model.forward_batch(Tensor(rng.normal(size=x.shape)), mode="train")  # BN statistics
+
+        def scores(batch):
+            with tz.stop_recording():
+                return model.forward_batch(Tensor(batch), mode="eval").data
+
+        single = np.concatenate([scores(x[i:i + 1]) for i in range(videos)])
+        cuts = np.sort(rng.choice(np.arange(1, videos), size=rng.integers(0, videos), replace=False))
+        chunked = np.concatenate([scores(part) for part in np.split(x, cuts)])
+        perm = rng.permutation(videos)
+        permuted = np.empty_like(single)
+        permuted[perm] = scores(x[perm])
+        for batched in (scores(x), chunked, permuted):
+            assert batched.tobytes() == single.tobytes()
 
     def test_desk_forward_is_finite(self):
         model = VideoGraphModel(desk_config(num_classes=4))

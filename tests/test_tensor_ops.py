@@ -93,6 +93,30 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             tz.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
+    # narrow outputs where a plain GEMM rounds rows differently at m <= 3 than at m >= 4
+    @pytest.mark.parametrize("k, p", [(16, 2), (64, 3), (144, 1)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 12, 33])
+    def test_independent_rows_equal_single_row_products(self, m, k, p):
+        rng = np.random.default_rng(m * 1000 + k + p)
+        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, p))
+        out = tz.matmul(Tensor(a), Tensor(b), independent_rows=True).data
+        for i in range(m):
+            single = tz.matmul(Tensor(a[i:i + 1]), Tensor(b)).data[0]
+            assert out[i].tobytes() == single.tobytes()
+        np.testing.assert_allclose(out, naive_matmul(a, b), rtol=0, atol=1e-12)
+
+    def test_independent_rows_gradients(self):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(5, 3)))
+
+        def f():
+            out = tz.mul(tz.matmul(a, b, independent_rows=True), weights)
+            return tz.mean(tz.reshape(out, (out.size,)), axes=0)
+
+        assert tz.grad_check(f, [a, b]) <= 1e-9  # linear in each input
+
 
 class TestDepthwiseConv:
     def test_delta_kernel_is_identity(self):

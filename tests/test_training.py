@@ -8,6 +8,7 @@ from videograph import tensor as tz
 from videograph.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from videograph.datasets import Dataset, dataset_from_generated, load_manifest, write_manifest
 from videograph.metrics import mean_average_precision
+from videograph.model import eval_chunks
 from videograph.synthetic import DatasetConfig, generate_samples
 from videograph.tensor import Tensor
 from videograph.training import MetricLog, RunConfig, build_model, evaluate, train
@@ -108,8 +109,10 @@ class TestEvaluate:
         assert abs(result.metric - 0.25) <= 0.05
 
     def test_natural_equals_untouched(self):
-        ds, _ = tiny_dataset(seed=2)
-        trained = [train(RunConfig(num_classes=2, epochs=2, seed=2), ds, val_dataset=ds,
+        ds, _ = tiny_dataset(per_class=5, seed=2, H=3, W=3)
+        # several eval chunks, the last one a single video
+        assert [len(ds.features[chunk]) for chunk in eval_chunks(ds.features)] == [3, 3, 3, 1]
+        trained = [train(RunConfig(num_classes=2, H=3, W=3, epochs=2, seed=2), ds, val_dataset=ds,
                          baseline=baseline)[0] for baseline in (False, True)]
         for model in [_OracleStub(ds, 2)] + trained:
             scores_direct = np.stack([eval_one(model, f) for f in ds.features])
