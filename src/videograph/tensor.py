@@ -3,7 +3,9 @@
 Implements exactly the operations the video-graph pipeline needs, on top of
 numpy arrays. Gradients are recorded on a tape and replayed in reverse
 execution order; broadcasting is supported for elementwise ops via gradient
-unbroadcasting.
+unbroadcasting. The reverse pass stores `.grad` on leaves only: tensors that
+no recorded op produced, such as parameters and inputs. An op output's
+gradient is dropped as soon as its op has consumed it.
 
 Conventions fixed here so results are reproducible:
   * relu gradient at 0 is 0;
@@ -14,7 +16,7 @@ Conventions fixed here so results are reproducible:
 
 from __future__ import annotations
 
-import threading
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,11 +33,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, check_finite: bool = True):
+    def __init__(self, data, requires_grad: bool = False, check_finite: bool = True):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if check_finite and not np.all(np.isfinite(arr)):
             raise ValueError("tensor contains non-finite values")
@@ -90,29 +90,23 @@ class _TapeOp:
         self.backward_fn = backward_fn
 
 
-_LOCAL = threading.local()
-
-
-def _tape_stack() -> list:
-    if not hasattr(_LOCAL, "stack"):
-        _LOCAL.stack = []
-    return _LOCAL.stack
+# innermost last; None while recording is stopped
+_TAPE_STACK: list = []
 
 
 def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 class stop_recording:
-    """Context manager that suspends tape recording on this thread."""
+    """Context manager that suspends tape recording until it exits."""
 
     def __enter__(self):
-        _tape_stack().append(None)
+        _TAPE_STACK.append(None)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        _tape_stack().pop()
+        _TAPE_STACK.pop()
         return False
 
 
@@ -128,28 +122,32 @@ class Tape:
         self.ops: list[_TapeOp] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        _tape_stack().pop()
+        _TAPE_STACK.pop()
         return False
 
     def record(self, output: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None:
+        # _maybe_record records an op only if an input requires grad, so the
+        # flag is what carries a gradient path past the first op
         output.requires_grad = True
         self.ops.append(_TapeOp(output, inputs, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad for every requires_grad tensor reachable from loss.
+        """Populate .grad for every requires_grad leaf reachable from loss.
 
-        Repeated calls without zeroing grads accumulate.
+        A leaf is a tensor that no op on this tape produced. Op outputs keep
+        .grad untouched: each one's gradient is dropped once its op has
+        consumed it. Repeated calls without zeroing grads accumulate.
         """
         if loss.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         holders: dict[int, Tensor] = {id(loss): loss}
         for op in reversed(self.ops):
-            g_out = grads.get(id(op.output))
+            g_out = grads.pop(id(op.output), None)
             if g_out is None:
                 continue
             contributions = op.backward_fn(g_out)
@@ -162,9 +160,10 @@ class Tape:
                 else:
                     grads[key] = g_in
                     holders[key] = inp
-        for key, tensor in holders.items():
+        for key, g in grads.items():
+            tensor = holders[key]
             if tensor.requires_grad:
-                tensor.accumulate_grad(np.asarray(grads[key]))
+                tensor.accumulate_grad(np.asarray(g))
 
 
 def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
@@ -341,6 +340,19 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 # Depthwise 1-D convolution (same zero padding, one kernel per channel)
 
 
+@functools.lru_cache
+def _band_taps(length: int, k: int, dtype: np.dtype) -> np.ndarray:
+    """(k, L * L) selector: taps[j, s * L + i] = 1 where output i reads input s through tap j.
+
+    Cached and shared between calls, so it is read-only.
+    """
+    offsets = np.arange(length)[:, None] - np.arange(length)[None, :]
+    taps = (offsets == (np.arange(k) - k // 2)[:, None, None]).astype(dtype)
+    taps = taps.reshape(k, length * length)
+    taps.flags.writeable = False
+    return taps
+
+
 def depthwise_conv1d(x: Tensor, axis: int, kernels: Tensor) -> Tensor:
     """Convolve one length-k kernel per channel along a single axis.
 
@@ -371,10 +383,7 @@ def depthwise_conv1d(x: Tensor, axis: int, kernels: Tensor) -> Tensor:
     moved = np.moveaxis(x.data, (-1, axis), (0, -1))         # (C, ..., L)
     length = moved.shape[-1]
     x3 = moved.reshape(channels, -1, length)                  # (C, M, L)
-    # taps[j, s, i] = 1 where output i reads input s through tap j
-    offsets = np.arange(length)[:, None] - np.arange(length)[None, :]
-    taps = (offsets == (np.arange(k) - k // 2)[:, None, None]).astype(x.data.dtype)
-    taps = taps.reshape(k, length * length)
+    taps = _band_taps(length, k, x.data.dtype)
     band = (kernels.data @ taps).reshape(channels, length, length)  # (C, L, L)
     out3 = x3 @ band
     out = Tensor(np.moveaxis(out3.reshape(moved.shape), (0, -1), (-1, axis)), check_finite=False)
@@ -420,16 +429,16 @@ def max_pool(x: Tensor, axes, kernel: int = 3) -> Tensor:
     trimmed = x.data[tuple(trim)]
     windowed = trimmed.reshape(windowed_shape)
 
-    # window axes sit right after their outer axis; move them to the end in
-    # ascending original-axis order so the flattened window is row-major
+    # each window axis sits right after its outer axis; max over them in place
     win_pos = [ax + 1 + rank for rank, ax in enumerate(axes)]
-    m = len(axes)
-    moved = np.moveaxis(windowed, win_pos, range(windowed.ndim - m, windowed.ndim))
-    out_shape = moved.shape[:-m]
-    flat_w = moved.reshape(out_shape + (kernel ** m,))
-    out = Tensor(flat_w.max(axis=-1), check_finite=False)
+    out = Tensor(windowed.max(axis=tuple(win_pos)), check_finite=False)
 
     def backward(g):
+        # move the window axes to the end in ascending original-axis order, so
+        # the flattened window is row-major and argmax ties go to the lowest index
+        m = len(axes)
+        moved = np.moveaxis(windowed, win_pos, range(windowed.ndim - m, windowed.ndim))
+        flat_w = moved.reshape(moved.shape[:-m] + (kernel ** m,))
         idx = flat_w.argmax(axis=-1)
         gw = np.zeros_like(flat_w)
         np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
@@ -466,48 +475,49 @@ class BatchNormState:
 def batch_norm(x: Tensor, channel_axis: int, state: BatchNormState, mode: str) -> Tensor:
     """Normalize per channel over all other axes; affine gamma/beta last.
 
-    Train mode uses batch statistics and blends them into the running stats;
-    eval mode uses running stats and errors if none were ever recorded.
+    The channel axis must be the last one: the op works on the (rows, C)
+    view of x and reduces along its rows. Train mode uses batch statistics
+    and blends them into the running stats; eval mode uses running stats and
+    errors if none were ever recorded.
     """
     x = as_tensor(x)
-    channel_axis = channel_axis % x.ndim
-    channels = x.shape[channel_axis]
+    if channel_axis % x.ndim != x.ndim - 1:
+        raise ShapeError(f"batch_norm normalises the last axis only; got channel_axis {channel_axis} "
+                         f"of a {x.ndim}-d input")
+    channels = x.shape[-1]
     if channels != state.channels:
         raise ShapeError(f"batch_norm state has {state.channels} channels, input axis has {channels}")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batch_norm mode {mode!r}")
 
-    bshape = [1] * x.ndim
-    bshape[channel_axis] = channels
-    reduce_axes = tuple(i for i in range(x.ndim) if i != channel_axis)
-    gamma_b = state.gamma.data.reshape(bshape)
-    beta_b = state.beta.data.reshape(bshape)
-
+    x2 = x.data.reshape(-1, channels)
+    gamma = state.gamma.data
     if mode == "train":
-        mu = x.data.mean(axis=reduce_axes, keepdims=True)
-        var = x.data.var(axis=reduce_axes, keepdims=True)
+        mu = x2.mean(axis=0)
+        centered = x2 - mu
+        var = (centered * centered).mean(axis=0)
         inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.data - mu) * inv
+        xhat = centered * inv
         m = state.momentum
-        state.running_mean = m * state.running_mean + (1.0 - m) * mu.reshape(channels)
-        state.running_var = m * state.running_var + (1.0 - m) * var.reshape(channels)
+        state.running_mean = m * state.running_mean + (1.0 - m) * mu
+        state.running_var = m * state.running_var + (1.0 - m) * var
         state.initialized = True
     else:
         if not state.initialized:
             raise RuntimeError("batch_norm eval mode before any train-mode update: running stats uninitialized")
-        mu = state.running_mean.reshape(bshape)
-        inv = 1.0 / np.sqrt(state.running_var.reshape(bshape) + state.eps)
-        xhat = (x.data - mu) * inv
+        inv = 1.0 / np.sqrt(state.running_var + state.eps)
+        xhat = (x2 - state.running_mean) * inv
 
-    out = Tensor(gamma_b * xhat + beta_b, check_finite=False)
+    out = Tensor((gamma * xhat + state.beta.data).reshape(x.shape), check_finite=False)
 
     def backward(g):
-        g_gamma = (g * xhat).sum(axis=reduce_axes)
-        g_beta = g.sum(axis=reduce_axes)
+        g2 = g.reshape(-1, channels)
+        g_gamma = (g2 * xhat).sum(axis=0)
+        g_beta = g2.sum(axis=0)
         if mode == "train":
-            n = x.size // channels
-            g = g - g_beta.reshape(bshape) / n - xhat * (g_gamma.reshape(bshape) / n)
-        return (g * (gamma_b * inv), g_gamma, g_beta)
+            n = g2.shape[0]
+            g2 = g2 - g_beta / n - xhat * (g_gamma / n)
+        return ((g2 * (gamma * inv)).reshape(x.shape), g_gamma, g_beta)
 
     return _maybe_record(out, (x, state.gamma, state.beta), backward)
 

@@ -176,9 +176,10 @@ def _epoch_pass(model, dataset: Dataset, batch_size: int, order: np.ndarray,
 def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int = 0) -> EvalResult:
     """Eval-mode metrics with the sample time axes permuted as requested.
 
-    Video i's time axis is permuted with a seed drawn from (seed, i). The
-    videos are scored in chunks of `eval_chunks`, one eval-mode forward call
-    each. A video's scores do not depend on its chunk: eval mode has no
+    Video i's time axis is permuted with a seed drawn from (seed, i);
+    "natural" stacks the stored features as they are, with no seed drawn and
+    no index copy. The videos are scored in chunks of `eval_chunks`, one
+    eval-mode forward call each. A video's scores do not depend on its chunk: eval mode has no
     cross-video statistics, and the classifier head computes each video's
     row on its own, so the scores are bitwise those of a batch of one.
     """
@@ -187,6 +188,8 @@ def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int =
 
     def perturbed(i: int) -> np.ndarray:
         feats = dataset.features[i]
+        if perturbation == "natural":
+            return feats
         state = np.random.SeedSequence((seed, i)).generate_state(1)[0]
         return feats[perturbation_indices(feats.shape[0], perturbation, seed=int(state))]
 

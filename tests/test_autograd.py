@@ -7,6 +7,7 @@ import pytest
 
 from videograph import tensor as tz
 from videograph.gradsuite import OP_CHECKS, run_gradient_suite
+from videograph.model import VideoGraphModel, desk_config
 from videograph.optim import SgdMomentum
 from videograph.tensor import Tape, Tensor, grad_check
 
@@ -60,6 +61,76 @@ class TestClosedFormGradients:
             tape.backward(total)
             tape.backward(total)
         np.testing.assert_allclose(x.grad, [8.0])  # 2 * (2x)
+
+
+class KeepIntermediatesTape(Tape):
+    """Oracle: the reverse pass that also stored .grad on every op output."""
+
+    def backward(self, loss):
+        grads = {id(loss): np.ones_like(loss.data)}
+        holders = {id(loss): loss}
+        for op in reversed(self.ops):
+            g_out = grads.get(id(op.output))
+            if g_out is None:
+                continue
+            for inp, g_in in zip(op.inputs, op.backward_fn(g_out)):
+                if g_in is None:
+                    continue
+                key = id(inp)
+                if key in grads:
+                    grads[key] = grads[key] + g_in
+                else:
+                    grads[key] = g_in
+                    holders[key] = inp
+        for key, tensor in holders.items():
+            if tensor.requires_grad:
+                tensor.accumulate_grad(np.asarray(grads[key]))
+
+
+class TestLeafOnlyGradients:
+    def test_op_outputs_keep_no_grad(self):
+        x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        with Tape() as tape:
+            total = tz.mean(tz.relu(tz.mul(x, x)), axes=0)
+            tape.backward(total)
+        assert len(tape.ops) == 3
+        assert all(op.output.grad is None for op in tape.ops)
+        np.testing.assert_allclose(x.grad, 2.0 * x.data / 3.0, atol=1e-15)
+
+    def test_fan_out_intermediate_sums_into_leaf(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Tape() as tape:
+            y = tz.mul(x, Tensor(np.full(2, 3.0)))
+            z = tz.add(tz.mul(y, y), y)          # y feeds two ops
+            tape.backward(tz.mean(z, axes=0))
+        assert y.grad is None
+        # d/dx mean(9x^2 + 3x) = (18x + 3) / 2
+        np.testing.assert_array_equal(x.grad, (18.0 * x.data + 3.0) / 2.0)
+
+    def test_leaf_loss_gets_ones(self):
+        loss = Tensor(np.array(2.5), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(loss)
+        np.testing.assert_array_equal(loss.grad, np.ones(()))
+
+    def test_desk_step_grads_bitwise_equal_keeping_intermediates(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 16, 1, 1, 16))
+        targets = np.array([1, 3])
+        grads = []
+        for tape_cls in (Tape, KeepIntermediatesTape):
+            model = VideoGraphModel(desk_config(num_classes=4, seed=5))
+            with tape_cls() as tape:
+                loss = tz.loss(model.forward_batch(Tensor(x), mode="train"), targets, "single_label_ce")
+                tape.backward(loss)
+            outputs_with_grad = sum(op.output.grad is not None for op in tape.ops)
+            grads.append(({n: p.grad for n, p in model.named_parameters().items()}, outputs_with_grad))
+        (leaf, leaf_outputs), (kept, kept_outputs) = grads
+        assert leaf_outputs == 0 and kept_outputs == len(tape.ops)
+        assert leaf.keys() == kept.keys()
+        for name in leaf:
+            assert leaf[name] is not None, name
+            assert leaf[name].tobytes() == kept[name].tobytes(), name
 
 
 class TestGradientSuite:

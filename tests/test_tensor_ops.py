@@ -54,6 +54,51 @@ def tap_loop_conv(x, axis, kernels, g):
     return np.moveaxis(out_m, -2, axis), gx, gk
 
 
+def flat_window_max(x, axes, kernel=3):
+    """Non-overlapping max pool as a copy: window axes moved last, flattened, maxed."""
+    trim = tuple(slice(0, (n // kernel) * kernel) if i in axes else slice(None)
+                 for i, n in enumerate(x.shape))
+    windowed_shape = []
+    for i, n in enumerate(x.shape):
+        windowed_shape += [n // kernel, kernel] if i in axes else [n]
+    windowed = x[trim].reshape(windowed_shape)
+    win_pos = [ax + 1 + rank for rank, ax in enumerate(axes)]
+    m = len(axes)
+    moved = np.moveaxis(windowed, win_pos, range(windowed.ndim - m, windowed.ndim))
+    return moved.reshape(moved.shape[:-m] + (kernel ** m,)).max(axis=-1)
+
+
+def loop_max_pool_grad(x, axes, g, kernel=3):
+    """Gradient of sum(max_pool(x) * g): each window's g to its first maximum in row-major order."""
+    gx = np.zeros_like(x)
+    for out_idx in np.ndindex(g.shape):
+        window = tuple(slice(kernel * j, kernel * j + kernel) if i in axes else slice(j, j + 1)
+                       for i, j in enumerate(out_idx))
+        first = np.unravel_index(np.argmax(x[window]), x[window].shape)
+        gx[window][first] += g[out_idx]
+    return gx
+
+
+def multi_axis_batch_norm(x, gamma, beta, mu, var, eps, mode, g):
+    """Batch norm over every axis but the last, in its multi-axis form, with its backward.
+
+    Returns (out, gx, g_gamma, g_beta) for upstream gradient g. In eval mode
+    mu and var are the running statistics.
+    """
+    reduce_axes = tuple(range(x.ndim - 1))
+    if mode == "train":
+        mu = x.mean(axis=reduce_axes, keepdims=True)
+        var = x.var(axis=reduce_axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    g_gamma = (g * xhat).sum(axis=reduce_axes)
+    g_beta = g.sum(axis=reduce_axes)
+    if mode == "train":
+        n = x.size // x.shape[-1]
+        g = g - g_beta / n - xhat * (g_gamma / n)
+    return gamma * xhat + beta, g * (gamma * inv), g_gamma, g_beta
+
+
 def misaligned_copy(a, offset):
     """Copy of a in a buffer that starts `offset` bytes past an allocation."""
     buf = np.empty(a.nbytes + offset, dtype=np.uint8)
@@ -167,6 +212,15 @@ class TestDepthwiseConv:
         x = Tensor(np.zeros((64, 4, 8)))
         out = tz.depthwise_conv1d(x, 0, Tensor(np.zeros((8, 7))))
         assert out.shape == (64, 4, 8)
+
+    def test_band_taps_cached_and_read_only(self):
+        taps = tz._band_taps(6, 3, np.dtype(np.float64))
+        assert tz._band_taps(6, 3, np.dtype(np.float64)) is taps
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            taps[0, 0] = 2.0
+        for j in range(3):
+            np.testing.assert_array_equal(taps[j].reshape(6, 6), np.eye(6, k=1 - j))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
@@ -282,6 +336,33 @@ class TestBatchNorm:
         assert np.abs(out.mean(axis=(0, 1))).max() <= 1e-6
         np.testing.assert_allclose(out.var(axis=(0, 1)), 1.0, atol=1e-3)
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @given(st.sampled_from([2, 6]), st.integers(0, 10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_multi_axis_formula(self, mode, ndim, seed):
+        rng = np.random.default_rng(seed)
+        c = int(rng.integers(1, 9))
+        shape = (int(rng.integers(2, 6)),) + tuple(int(v) for v in rng.integers(1, 5, size=ndim - 2)) + (c,)
+        x = Tensor(rng.normal(loc=rng.normal(), scale=1 + rng.uniform(), size=shape), requires_grad=True)
+        state = BatchNormState(c)
+        state.gamma = Tensor(rng.normal(size=c) + 1.5, requires_grad=True)
+        state.beta = Tensor(rng.normal(size=c), requires_grad=True)
+        state.running_mean, state.running_var = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+        state.initialized = True
+        ref_inputs = (x.data, state.gamma.data, state.beta.data, state.running_mean, state.running_var)
+        g = rng.normal(size=shape)
+        with tz.Tape() as tape:
+            out = tz.batch_norm(x, -1, state, mode)
+        got = (out.data,) + tape.ops[-1].backward_fn(g)
+        ref = multi_axis_batch_norm(*ref_inputs, state.eps, mode, g)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_non_last_channel_axis_rejected(self):
+        with pytest.raises(ShapeError, match="channel_axis 1"):
+            tz.batch_norm(Tensor(np.zeros((4, 3, 3))), 1, BatchNormState(3), "train")
+
 
 class TestMaxPool:
     def test_constant_tensor(self):
@@ -311,6 +392,30 @@ class TestMaxPool:
             for j in range(out.shape[1]):
                 window = x[3 * i:3 * i + 3, 3 * j:3 * j + 3]
                 assert out[i, j] == window.max()
+
+    @given(st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_six_d_matches_flat_window_max(self, num_axes, seed):
+        # (B, T, N, H, W, C); pooled lengths 3-8, so most leave a ragged tail
+        rng = np.random.default_rng(seed)
+        axes = tuple(sorted(rng.choice(6, size=num_axes, replace=False)))
+        shape = [int(rng.integers(3, 9)) if i in axes else int(rng.integers(1, 4)) for i in range(6)]
+        x = rng.normal(size=shape)
+        out = tz.max_pool(Tensor(x), axes).data
+        assert out.tobytes() == flat_window_max(x, axes).tobytes()
+
+    @given(st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_six_d_ties_route_to_lowest_index(self, num_axes, seed):
+        rng = np.random.default_rng(seed)
+        axes = tuple(sorted(rng.choice(6, size=num_axes, replace=False)))
+        shape = [int(rng.integers(3, 8)) if i in axes else int(rng.integers(1, 3)) for i in range(6)]
+        x = Tensor(rng.integers(0, 3, size=shape).astype(np.float64), requires_grad=True)
+        with tz.Tape() as tape:
+            out = tz.max_pool(x, axes)
+        g = rng.normal(size=out.shape)
+        (gx,) = tape.ops[-1].backward_fn(g)
+        np.testing.assert_array_equal(gx, loop_max_pool_grad(x.data, axes, g))
 
 
 class TestLoss:
