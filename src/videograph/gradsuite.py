@@ -11,6 +11,13 @@ per-channel shifts, so its train-mode gradient is mathematically zero and
 finite differences see pure rounding noise there. The full-model checks
 therefore assert that bias gradient is (numerically) zero in train mode and
 finite-difference it in eval mode, where running statistics make it live.
+
+Each full-model check makes one `grad_check` call over every parameter
+(about 7200 tape-less forwards at desk dims). Its loss, `StagedEvalLoss`,
+reuses the cached attention and embedding outputs while their parameters
+are bitwise unchanged, so a perturbed classifier weight reruns only the
+head. The reuse is exact: eval mode holds no state, and `grad_check`
+restores each perturbed component bit for bit.
 """
 
 from __future__ import annotations
@@ -147,8 +154,8 @@ def check_tanh(rng):
 
 def check_softmax(rng):
     x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    w = rng.normal(size=(3, 5))
-    return grad_check(lambda: _sum_all(tz.mul(tz.softmax(x, axis=1), Tensor(w))), [x])
+    w = Tensor(rng.normal(size=(3, 5)))
+    return grad_check(lambda: _sum_all(tz.mul(tz.softmax(x, axis=1), w)), [x])
 
 
 def check_depthwise_conv(rng):
@@ -156,15 +163,15 @@ def check_depthwise_conv(rng):
     x = Tensor(rng.normal(size=(t_len, 3, channels)), requires_grad=True)
     kern = Tensor(rng.normal(size=(channels, k)), requires_grad=True)
     axis = int(rng.integers(0, 2))
-    w = rng.normal(size=(t_len, 3, channels))
-    return grad_check(lambda: _sum_all(tz.mul(tz.depthwise_conv1d(x, axis, kern), Tensor(w))),
+    w = Tensor(rng.normal(size=(t_len, 3, channels)))
+    return grad_check(lambda: _sum_all(tz.mul(tz.depthwise_conv1d(x, axis, kern), w)),
                       [x, kern])
 
 
 def check_max_pool(rng):
     x = Tensor(_distinct_values(rng, (7, 8, 2)), requires_grad=True)
-    w = rng.normal(size=(2, 2, 2))
-    return grad_check(lambda: _sum_all(tz.mul(tz.max_pool(x, (0, 1)), Tensor(w))), [x])
+    w = Tensor(rng.normal(size=(2, 2, 2)))
+    return grad_check(lambda: _sum_all(tz.mul(tz.max_pool(x, (0, 1)), w)), [x])
 
 
 def check_batch_norm_train(rng):
@@ -173,8 +180,8 @@ def check_batch_norm_train(rng):
     state = BatchNormState(channels)
     state.gamma = Tensor(rng.normal(size=channels) + 1.5, requires_grad=True)
     state.beta = Tensor(rng.normal(size=channels), requires_grad=True)
-    w = rng.normal(size=(4, 2, channels))
-    return grad_check(lambda: _sum_all(tz.mul(tz.batch_norm(x, 2, state, "train"), Tensor(w))),
+    w = Tensor(rng.normal(size=(4, 2, channels)))
+    return grad_check(lambda: _sum_all(tz.mul(tz.batch_norm(x, 2, state, "train"), w)),
                       [x, state.gamma, state.beta])
 
 
@@ -211,9 +218,9 @@ def check_node_attention(rng):
     x = Tensor(rng.normal(size=(1, 1, h, w, c)), requires_grad=True)
     nodes = Tensor(rng.normal(size=(n, c)), requires_grad=True)
     params = NodeAttentionParams(c, "sigmoid", rng)
-    weight = rng.normal(size=(1, 1, n, h, w, c))
+    weight = Tensor(rng.normal(size=(1, 1, n, h, w, c)))
     return grad_check(
-        lambda: _sum_all(tz.mul(node_attention_forward(x, nodes, params), Tensor(weight))),
+        lambda: _sum_all(tz.mul(node_attention_forward(x, nodes, params), weight)),
         [x, nodes, params.weight, params.bias])
 
 
@@ -249,13 +256,13 @@ def check_graph_embedding(rng):
         t_len, n_len, c = 4, 3, 3
         x = Tensor(draw.normal(size=(1, t_len, n_len, 1, 1, c)), requires_grad=True)
         params = GraphEmbeddingParams(c, 3, 3, draw)
-        w = draw.normal(size=(1, t_len // 3, n_len // 3, 1, 1, c))
+        w = Tensor(draw.normal(size=(1, t_len // 3, n_len // 3, 1, 1, c)))
         tensors = [x, params.time_kernels, params.node_kernels, params.channel_mixer,
                    params.bn.gamma, params.bn.beta]
 
         def f(capture=None):
             out = graph_embedding_forward(x, params, "train", capture=capture)
-            return _sum_all(tz.mul(out, Tensor(w)))
+            return _sum_all(tz.mul(out, w))
 
         capture: dict = {}
         with tz.stop_recording():
@@ -269,11 +276,67 @@ def check_graph_embedding(rng):
     raise RuntimeError("no well-conditioned draw for graph embedding check")
 
 
+def stage_groups(model: VideoGraphModel) -> tuple[list[Tensor], list[Tensor]]:
+    """The parameters of the attention stage and of the graph-embedding stage.
+
+    Together with the `classifier.*` parameters they partition
+    `model.named_parameters()`.
+    """
+    attention = [model.nodes, model.attention.weight, model.attention.bias]
+    embedding = [p for i, emb in enumerate(model.embeddings)
+                 for p in emb.named_parameters(f"embed{i}").values()]
+    return attention, embedding
+
+
+def _snapshot(tensors: list[Tensor]) -> list[bytes]:
+    return [t.data.tobytes() for t in tensors]
+
+
+class StagedEvalLoss:
+    """Eval-mode loss of a model on fixed videos, restarting at the first changed stage.
+
+    At construction it caches the attention output and the embedding output
+    and snapshots the bytes of the attention and embedding parameter groups.
+    A tape-less call reruns only the stages downstream of the first group
+    whose bytes differ from the snapshot: the whole forward, the embedding
+    layers and the head, or the head alone. Under an active tape it always
+    runs the whole `forward_batch`, because the backward needs every op.
+    The result is bitwise that of `forward_batch`: eval mode reads the
+    batch-norm running statistics but never writes them, and the same ops
+    run on the same values in the same order.
+    """
+
+    def __init__(self, model: VideoGraphModel, x: Tensor, targets: np.ndarray):
+        self.model, self.x, self.targets = model, x, targets
+        self.attention_group, self.embedding_group = stage_groups(model)
+        with tz.stop_recording():
+            self.video = node_attention_forward(x, model.nodes, model.attention)
+            self.embedded = model.embed(self.video, "eval")
+        self.attention_bytes = _snapshot(self.attention_group)
+        self.embedding_bytes = _snapshot(self.embedding_group)
+
+    def __call__(self) -> Tensor:
+        model = self.model
+        if tz.active_tape() is not None or _snapshot(self.attention_group) != self.attention_bytes:
+            scores = model.forward_batch(self.x, mode="eval")
+        elif _snapshot(self.embedding_group) != self.embedding_bytes:
+            scores = model.classify(model.embed(self.video, "eval"), "eval")
+        else:
+            scores = model.classify(self.embedded, "eval")
+        return tz.loss(scores, self.targets, "single_label_ce")
+
+
 def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
     """Full forward+loss gradients over every parameter, eval mode.
 
     One train pass populates the batch-norm running statistics; the check
-    then finite-differences the frozen network. Train mode is deliberately
+    then finite-differences the frozen network in one `grad_check` call over
+    every parameter. Its loss is a `StagedEvalLoss`: a perturbed head weight
+    reruns only the head, a perturbed embedding weight the embedding layers
+    and the head, and only attention parameters rerun the whole forward.
+    The reuse is exact because eval mode holds no state and `grad_check`
+    writes each perturbed component back bit for bit, so every cached
+    output is the one a full forward would compute. Train mode is deliberately
     not finite-differenced end to end: train-mode batch norm cancels
     per-channel shifts exactly (making bias-like directions mathematically
     dead, so FD measures pure rounding noise) and constrains its input
@@ -305,7 +368,7 @@ def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
 
         # finite-difference first: the train-mode forwards of the bias
         # assertion below blend the running stats the margins were checked on
-        worst = grad_check(f, list(params.values()))
+        worst = grad_check(StagedEvalLoss(model, x, targets), list(params.values()))
         for name in params:
             if name.endswith("channel_bias"):
                 if _bias_gradient_magnitude(lambda: f("train"), params[name]) > 1e-10:
@@ -314,17 +377,19 @@ def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
     raise RuntimeError("no well-conditioned draw for the full-model check")
 
 
+MICRO_MODEL_CONFIG = VideoGraphConfig(T=6, N=4, H=1, W=1, C=5, num_classes=3, t=3, n=3,
+                                      num_embedding_layers=1, classifier_hidden=6)
+DESK_MODEL_CONFIG = replace(desk_config(num_classes=4), classifier_hidden=16)
+
+
+# batch of 2: classifier batch norm over a single sample has zero variance,
+# which parks every hidden unit exactly on the relu kink
 def check_full_model_micro(rng):
-    config = VideoGraphConfig(T=6, N=4, H=1, W=1, C=5, num_classes=3, t=3, n=3,
-                              num_embedding_layers=1, classifier_hidden=6)
-    return _model_loss_check(config, rng, batch=2)
+    return _model_loss_check(MICRO_MODEL_CONFIG, rng, batch=2)
 
 
 def check_full_model_desk(rng):
-    # batch of 2: classifier batch norm over a single sample has zero
-    # variance, which parks every hidden unit exactly on the relu kink
-    config = replace(desk_config(num_classes=4), classifier_hidden=16)
-    return _model_loss_check(config, rng, batch=2)
+    return _model_loss_check(DESK_MODEL_CONFIG, rng, batch=2)
 
 
 OP_CHECKS = [

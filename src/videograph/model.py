@@ -199,6 +199,16 @@ class GraphEmbeddingParams:
         self.channel_bias = Tensor(np.zeros((1, channels)), requires_grad=True)
         self.bn = BatchNormState(channels)
 
+    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
+        return {
+            f"{prefix}.time_kernels": self.time_kernels,
+            f"{prefix}.node_kernels": self.node_kernels,
+            f"{prefix}.channel_mixer": self.channel_mixer,
+            f"{prefix}.channel_bias": self.channel_bias,
+            f"{prefix}.bn.gamma": self.bn.gamma,
+            f"{prefix}.bn.beta": self.bn.beta,
+        }
+
 
 class ClassifierHead:
     """Two fully connected layers with batch norm and relu in between.
@@ -327,12 +337,7 @@ class VideoGraphModel:
                   "attention.weight": self.attention.weight,
                   "attention.bias": self.attention.bias}
         for i, emb in enumerate(self.embeddings):
-            params[f"embed{i}.time_kernels"] = emb.time_kernels
-            params[f"embed{i}.node_kernels"] = emb.node_kernels
-            params[f"embed{i}.channel_mixer"] = emb.channel_mixer
-            params[f"embed{i}.channel_bias"] = emb.channel_bias
-            params[f"embed{i}.bn.gamma"] = emb.bn.gamma
-            params[f"embed{i}.bn.beta"] = emb.bn.beta
+            params.update(emb.named_parameters(f"embed{i}"))
         params.update(self.classifier.named_parameters("classifier"))
         return params
 
@@ -354,15 +359,24 @@ class VideoGraphModel:
         if x.ndim != 5 or x.shape[1:] != (cfg.T, cfg.H, cfg.W, cfg.C):
             raise ShapeError(f"expected batch shaped (B, {cfg.T}, {cfg.H}, {cfg.W}, {cfg.C}); "
                              f"got {x.shape}")
-        h = node_attention_forward(x, self.nodes, self.attention)
+        # no local name for the video tensor: embed holds the only reference
+        # and drops it after the first layer, as a single loop over h would
+        h = self.embed(node_attention_forward(x, self.nodes, self.attention), mode, capture)
+        return self.classify(h, mode, capture)
+
+    def embed(self, h: Tensor, mode: str, capture: dict | None = None) -> Tensor:
+        """Graph embedding layers: video tensors (B, T, N, H, W, C) -> (B, T', N', H, W, C)."""
         for i, emb in enumerate(self.embeddings):
             h = graph_embedding_forward(h, emb, mode, capture=capture, tag=f"embed{i}.")
         if capture is not None:
             capture["embedding_output"] = h
+        return h
 
+    def classify(self, h: Tensor, mode: str, capture: dict | None = None) -> Tensor:
+        """Classifier head over embedded video tensors -> scores (B, num_classes)."""
         pooled = tz.mean(h, axes=(3, 4))                           # (B, T', N', C)
-        flat2 = tz.reshape(pooled, (x.shape[0], self.classifier_input_dim))
-        return self.classifier.forward(flat2, mode, cfg.label_mode, capture=capture)
+        flat = tz.reshape(pooled, (h.shape[0], self.classifier_input_dim))
+        return self.classifier.forward(flat, mode, self.config.label_mode, capture=capture)
 
     @property
     def label_mode(self) -> str:

@@ -1,13 +1,16 @@
 """Reverse-mode gradients: closed-form cases plus finite-difference suites."""
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from videograph import gradsuite
 from videograph import tensor as tz
-from videograph.gradsuite import OP_CHECKS, run_gradient_suite
-from videograph.model import VideoGraphModel, desk_config
+from videograph.gradsuite import (DESK_MODEL_CONFIG, MICRO_MODEL_CONFIG, OP_CHECKS,
+                                  StagedEvalLoss, run_gradient_suite, stage_groups)
+from videograph.model import VideoGraphConfig, VideoGraphModel, desk_config
 from videograph.optim import SgdMomentum
 from videograph.tensor import Tape, Tensor, grad_check
 
@@ -147,6 +150,115 @@ class TestGradientSuite:
     def test_suite_runner_passes(self):
         results = run_gradient_suite(seed=5, num_seeds=2, include_desk_model=False)
         assert all(r.passed for r in results)
+
+
+class TestGradCheckRestore:
+    def test_every_component_restored_bitwise(self):
+        rng = np.random.default_rng(2)
+        a = Tensor(rng.normal(size=(4, 3)).T, requires_grad=True)
+        # 1e12 + 1e-5 rounds back to 1e12; -0.0 differs from 0.0 only in its bits
+        b = Tensor(np.array([1e12, -0.0, 0.3]), requires_grad=True)
+        assert not a.data.flags["C_CONTIGUOUS"]
+        assert b.data[0] + 1e-5 == b.data[0]
+        before = [a.data.tobytes(), b.data.tobytes()]
+
+        def f():
+            return tz.add(tz.mean(tz.reshape(tz.mul(a, a), (12,)), axes=0),
+                          tz.mean(tz.mul(b, b), axes=0))
+
+        grad_check(f, [a, b])
+        assert [a.data.tobytes(), b.data.tobytes()] == before
+
+
+def _drawn_eval_model(config, seed, batch=2):
+    """A model whose batch-norm running statistics were set by one train pass."""
+    rng = np.random.default_rng(seed)
+    model = VideoGraphModel(replace(config, seed=seed))
+    x = Tensor(rng.normal(size=(batch, config.T, config.H, config.W, config.C)))
+    targets = rng.integers(0, config.num_classes, size=batch)
+    with tz.stop_recording():
+        model.forward_batch(x, mode="train")
+    return model, x, targets
+
+
+def _full_eval_loss(model, x, targets):
+    return lambda: tz.loss(model.forward_batch(x, mode="eval"), targets, "single_label_ce")
+
+
+MODEL_CONFIGS = pytest.mark.parametrize("config", [MICRO_MODEL_CONFIG, DESK_MODEL_CONFIG],
+                                        ids=["micro", "desk"])
+
+
+class TestStagedEvalLoss:
+    @MODEL_CONFIGS
+    def test_value_bitwise_equal_full_forward_after_perturbing_each_tensor(self, config):
+        model, x, targets = _drawn_eval_model(config, 3)
+        staged, full = StagedEvalLoss(model, x, targets), _full_eval_loss(model, x, targets)
+        base = full().data.tobytes()
+        assert staged().data.tobytes() == base
+        rng = np.random.default_rng(4)
+        for name, p in model.named_parameters().items():
+            flat = p.data.reshape(-1)
+            i = int(rng.integers(flat.size))
+            orig = flat[i]
+            for step in (1e-5, -1e-5):
+                flat[i] = orig + step
+                assert staged().data.tobytes() == full().data.tobytes(), name
+            flat[i] = orig
+            assert staged().data.tobytes() == base, name
+
+    @MODEL_CONFIGS
+    def test_tape_grads_bitwise_equal_full_forward(self, config):
+        grads = []
+        for staged in (True, False):
+            model, x, targets = _drawn_eval_model(config, 5)
+            f = StagedEvalLoss(model, x, targets) if staged else _full_eval_loss(model, x, targets)
+            with Tape() as tape:
+                tape.backward(f())
+            grads.append({n: p.grad.tobytes() for n, p in model.named_parameters().items()})
+        assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_grad_check_bitwise_equal_full_forward(self, seed):
+        model, x, targets = _drawn_eval_model(MICRO_MODEL_CONFIG, seed)
+        params = list(model.named_parameters().values())
+        full = grad_check(_full_eval_loss(model, x, targets), params)
+        staged = grad_check(StagedEvalLoss(model, x, targets), params)
+        assert staged.hex() == full.hex()
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_stage_groups_and_head_partition_parameters(self, layers):
+        config = VideoGraphConfig(T=9, N=9, H=1, W=1, C=3, num_classes=2, t=3, n=3,
+                                  num_embedding_layers=layers, classifier_hidden=4)
+        model = VideoGraphModel(config)
+        attention, embedding = stage_groups(model)
+        params = model.named_parameters()
+        head = [p for name, p in params.items() if name.startswith("classifier.")]
+        ids = [id(p) for p in attention + embedding + head]
+        assert len(set(ids)) == len(ids)
+        assert set(ids) == {id(p) for p in params.values()}
+
+    @pytest.mark.parametrize("check", [gradsuite.check_full_model_micro,
+                                       gradsuite.check_full_model_desk])
+    def test_model_check_makes_one_grad_check_over_every_parameter(self, monkeypatch, check):
+        models, calls = [], []
+
+        class RecordedModel(VideoGraphModel):
+            def __init__(self, config):
+                super().__init__(config)
+                models.append(self)
+
+        def recording_grad_check(f, tensors):
+            calls.append(list(tensors))
+            return 0.0
+
+        monkeypatch.setattr(gradsuite, "VideoGraphModel", RecordedModel)
+        monkeypatch.setattr(gradsuite, "grad_check", recording_grad_check)
+        check(np.random.default_rng(0))
+        assert len(calls) == 1
+        params = models[-1].named_parameters().values()
+        assert sum(t.size for t in calls[0]) == sum(p.size for p in params)
+        assert [id(t) for t in calls[0]] == [id(p) for p in params]
 
 
 class TestSgd:

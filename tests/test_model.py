@@ -273,3 +273,41 @@ class TestModelDeterminism:
         scores = model.forward_batch(segments, mode="train")
         assert scores.shape == (1, 4)
         assert np.all(np.isfinite(scores.data))
+
+
+def _captured_bytes(capture):
+    return {key: (value[0].data.tobytes(), value[1]) if isinstance(value, tuple)
+            else value.data.tobytes() for key, value in capture.items()}
+
+
+class TestModelSplit:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("config", [
+        desk_config(num_classes=4, seed=7),
+        VideoGraphConfig(T=9, N=9, H=2, W=1, C=3, num_classes=3, t=3, n=3,
+                         num_embedding_layers=2, classifier_hidden=5, seed=7)],
+        ids=["desk", "two_layers"])
+    def test_forward_batch_is_attention_embed_classify(self, config, mode):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(3, config.T, config.H, config.W, config.C)))
+        warm = Tensor(rng.normal(size=x.shape))
+        runs = []
+        for composed in (False, True):
+            model = VideoGraphModel(config)
+            model.forward_batch(warm, mode="train")                 # BN statistics
+            capture: dict = {}
+            if composed:
+                h = node_attention_forward(x, model.nodes, model.attention)
+                scores = model.classify(model.embed(h, mode, capture), mode, capture)
+            else:
+                scores = model.forward_batch(x, mode=mode, capture=capture)
+            stats = {name: (bn.running_mean.tobytes(), bn.running_var.tobytes())
+                     for name, bn in model.bn_states().items()}
+            runs.append((scores.data.tobytes(), _captured_bytes(capture), stats))
+        (scores, capture, stats), (scores_c, capture_c, stats_c) = runs
+        layers = [f"embed{i}." for i in range(config.num_embedding_layers)]
+        assert set(capture) == ({p + k for p in layers for k in ("pre_relu", "pre_pool")}
+                                | {"embedding_output", "classifier.pre_relu"})
+        assert scores_c == scores
+        assert capture_c == capture
+        assert stats_c == stats
