@@ -295,11 +295,12 @@ def _snapshot(tensors: list[Tensor]) -> list[bytes]:
 class StagedEvalLoss:
     """Eval-mode loss of a model on fixed videos, restarting at the first changed stage.
 
-    At construction it caches the attention output and the embedding output
-    and snapshots the bytes of the attention and embedding parameter groups.
-    A tape-less call reruns only the stages downstream of the first group
-    whose bytes differ from the snapshot: the whole forward, the embedding
-    layers and the head, or the head alone. Under an active tape it always
+    At construction it caches the attention output and the classifier input
+    (the spatial mean and flatten of the embedding output), and snapshots the
+    bytes of the attention and embedding parameter groups. A tape-less call
+    reruns only the stages downstream of the first group whose bytes differ
+    from the snapshot: the whole forward, the embedding layers and the head,
+    or the classifier alone. Under an active tape it always
     runs the whole `forward_batch`, because the backward needs every op.
     The result is bitwise that of `forward_batch`: eval mode reads the
     batch-norm running statistics but never writes them, and the same ops
@@ -311,7 +312,7 @@ class StagedEvalLoss:
         self.attention_group, self.embedding_group = stage_groups(model)
         with tz.stop_recording():
             self.video = node_attention_forward(x, model.nodes, model.attention)
-            self.embedded = model.embed(self.video, "eval")
+            self.head_input = model.classifier_input(model.embed(self.video, "eval"))
         self.attention_bytes = _snapshot(self.attention_group)
         self.embedding_bytes = _snapshot(self.embedding_group)
 
@@ -322,7 +323,7 @@ class StagedEvalLoss:
         elif _snapshot(self.embedding_group) != self.embedding_bytes:
             scores = model.classify(model.embed(self.video, "eval"), "eval")
         else:
-            scores = model.classify(self.embedded, "eval")
+            scores = model.classifier.forward(self.head_input, "eval", model.label_mode)
         return tz.loss(scores, self.targets, "single_label_ce")
 
 

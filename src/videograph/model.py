@@ -288,6 +288,10 @@ def graph_embedding_forward(h: Tensor, params: GraphEmbeddingParams, mode: str,
     """One graph embedding layer over video tensors (B, T, N, H, W, C).
 
     Conv along time, conv along nodes, channel mix, BN, relu, 3x3 pool.
+    The pool runs before the relu: relu is monotone, so relu(max) is the
+    max of the relu'd window, and both orders route a window's gradient to
+    its first maximum when that is positive and pass zero otherwise. The
+    relu then touches at most a ninth of the values.
     """
     h = tz.as_tensor(h)
     if h.ndim != 6:
@@ -302,10 +306,8 @@ def graph_embedding_forward(h: Tensor, params: GraphEmbeddingParams, mode: str,
     h = tz.batch_norm(h, h.ndim - 1, params.bn, mode)
     if capture is not None:
         capture[f"{tag}pre_relu"] = h
-    h = tz.relu(h)
-    if capture is not None:
-        capture[f"{tag}pre_pool"] = (h, (1, 2))
-    return tz.max_pool(h, (1, 2), kernel=POOL_KERNEL)
+        capture[f"{tag}pre_pool"] = (Tensor(np.maximum(h.data, 0.0)), (1, 2))
+    return tz.relu(tz.max_pool(h, (1, 2), kernel=POOL_KERNEL))
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +376,13 @@ class VideoGraphModel:
 
     def classify(self, h: Tensor, mode: str, capture: dict | None = None) -> Tensor:
         """Classifier head over embedded video tensors -> scores (B, num_classes)."""
+        return self.classifier.forward(self.classifier_input(h), mode, self.config.label_mode,
+                                       capture=capture)
+
+    def classifier_input(self, h: Tensor) -> Tensor:
+        """Spatial mean and flatten: embedded video tensors -> (B, classifier_input_dim)."""
         pooled = tz.mean(h, axes=(3, 4))                           # (B, T', N', C)
-        flat = tz.reshape(pooled, (h.shape[0], self.classifier_input_dim))
-        return self.classifier.forward(flat, mode, self.config.label_mode, capture=capture)
+        return tz.reshape(pooled, (h.shape[0], self.classifier_input_dim))
 
     @property
     def label_mode(self) -> str:

@@ -32,8 +32,9 @@ class SgdMomentum:
         for name, p in self.params.items():
             if p.grad is None:
                 raise RuntimeError(f"parameter {name!r} has no gradient; run backward first")
-            v = self.momentum * self.velocity[name] + (p.grad + self.weight_decay * p.data)
-            self.velocity[name] = v
+            v = self.velocity[name]
+            v *= self.momentum
+            v += p.grad + self.weight_decay * p.data
             p.data -= self.learning_rate * v
             p.grad = None
 

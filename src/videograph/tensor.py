@@ -33,11 +33,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, check_finite: bool = True):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        if check_finite and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("tensor contains non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -75,6 +75,20 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _op_output(arr) -> Tensor:
+    """Wrap the float array an op just computed, skipping `Tensor`'s checks.
+
+    Ops on float tensors yield float arrays, and a non-finite value there is
+    the op's result, not bad input. Reductions to a single value and ops on
+    0-d inputs return numpy scalars, which become 0-d arrays.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = arr if type(arr) is np.ndarray else np.asarray(arr)
+    out.requires_grad = False
+    out.grad = None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +203,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, check_finite=False)
+    out = _op_output(a.data + b.data)
     return _maybe_record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data, check_finite=False)
+    out = _op_output(a.data - b.data)
     return _maybe_record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, check_finite=False)
+    out = _op_output(a.data * b.data)
     return _maybe_record(
         out, (a, b),
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
@@ -210,7 +224,7 @@ def mul(a, b) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.reshape(shape), check_finite=False)
+    out = _op_output(x.data.reshape(shape))
     return _maybe_record(out, (x,), lambda g: (g.reshape(x.shape),))
 
 
@@ -218,7 +232,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     x = as_tensor(x)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(x.data, axes), check_finite=False)
+    out = _op_output(np.transpose(x.data, axes))
     return _maybe_record(out, (x,), lambda g: (np.transpose(g, inverse),))
 
 
@@ -228,7 +242,8 @@ def mean(x: Tensor, axes, keepdims: bool = False) -> Tensor:
     count = 1
     for ax in axes:
         count *= x.shape[ax]
-    out = Tensor(x.data.mean(axis=axes, keepdims=keepdims), check_finite=False)
+    # the sum and the division np.mean performs, without its Python wrapper
+    out = _op_output(np.add.reduce(x.data, axis=axes, keepdims=keepdims) / count)
 
     def backward(g):
         if not keepdims:
@@ -256,7 +271,7 @@ def mean_exact(x: Tensor, axes) -> Tensor:
     count = int(np.prod([x.shape[i] for i in axes], dtype=np.int64))
     pooled = np.transpose(x.data, list(axes) + keep).reshape((count,) + out_shape)
     vals = np.add.reduce(np.sort(pooled, axis=0), axis=0) / count
-    out = Tensor(vals, check_finite=False)
+    out = _op_output(vals)
 
     def backward(g):
         gx = np.broadcast_to(np.expand_dims(g, axes) / count, x.shape)
@@ -282,7 +297,7 @@ def matmul(a: Tensor, b: Tensor, independent_rows: bool = False) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul requires (m,k) x (k,p); got {a.shape} and {b.shape}")
     product = (a.data[:, None, :] @ b.data)[:, 0, :] if independent_rows else a.data @ b.data
-    out = Tensor(product, check_finite=False)
+    out = _op_output(product)
     return _maybe_record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
@@ -292,23 +307,25 @@ def matmul(a: Tensor, b: Tensor, independent_rows: bool = False) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), check_finite=False)
+    out = _op_output(np.maximum(x.data, 0.0))
     return _maybe_record(out, (x,), lambda g: (g * (x.data > 0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    # stable in both tails
-    y = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                 np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
-    out = Tensor(y, check_finite=False)
+    # stable in both tails: z = exp(-|x|) lies in (0, 1]
+    z = np.abs(x.data)
+    np.exp(np.negative(z, out=z), out=z)
+    d = 1.0 + z
+    y = np.where(x.data >= 0, 1.0 / d, z / d)
+    out = _op_output(y)
     return _maybe_record(out, (x,), lambda g: (g * y * (1.0 - y),))
 
 
 def tanh(x: Tensor) -> Tensor:
     x = as_tensor(x)
     y = np.tanh(x.data)
-    out = Tensor(y, check_finite=False)
+    out = _op_output(y)
     return _maybe_record(out, (x,), lambda g: (g * (1.0 - y * y),))
 
 
@@ -324,10 +341,10 @@ def activation(x: Tensor, kind: str) -> Tensor:
 
 def softmax(x: Tensor, axis: int) -> Tensor:
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, check_finite=False)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    out = _op_output(y)
 
     def backward(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -351,6 +368,16 @@ def _band_taps(length: int, k: int, dtype: np.dtype) -> np.ndarray:
     taps = taps.reshape(k, length * length)
     taps.flags.writeable = False
     return taps
+
+
+@functools.lru_cache
+def _conv_permutations(ndim: int, axis: int) -> tuple[tuple, tuple]:
+    """Transpose permutations (C, ..., L) <- x -> back, L being the convolved axis.
+
+    The first is np.moveaxis(x, (-1, axis), (0, -1)); the second inverts it.
+    """
+    to_rows = (ndim - 1, *(i for i in range(ndim - 1) if i != axis), axis)
+    return to_rows, tuple(to_rows.index(i) for i in range(ndim))
 
 
 def depthwise_conv1d(x: Tensor, axis: int, kernels: Tensor) -> Tensor:
@@ -380,20 +407,21 @@ def depthwise_conv1d(x: Tensor, axis: int, kernels: Tensor) -> Tensor:
     if axis == x.ndim - 1:
         raise ShapeError("cannot convolve along the channel axis")
 
-    moved = np.moveaxis(x.data, (-1, axis), (0, -1))         # (C, ..., L)
+    to_rows, from_rows = _conv_permutations(x.ndim, axis)
+    moved = x.data.transpose(to_rows)                         # (C, ..., L)
     length = moved.shape[-1]
     x3 = moved.reshape(channels, -1, length)                  # (C, M, L)
     taps = _band_taps(length, k, x.data.dtype)
     band = (kernels.data @ taps).reshape(channels, length, length)  # (C, L, L)
     out3 = x3 @ band
-    out = Tensor(np.moveaxis(out3.reshape(moved.shape), (0, -1), (-1, axis)), check_finite=False)
+    out = _op_output(out3.reshape(moved.shape).transpose(from_rows))
 
     def backward(g):
-        g3 = np.moveaxis(g, (-1, axis), (0, -1)).reshape(x3.shape)
+        g3 = g.transpose(to_rows).reshape(x3.shape)
         gx3 = g3 @ band.transpose(0, 2, 1)
         gband = x3.transpose(0, 2, 1) @ g3
         gk = gband.reshape(channels, -1) @ taps.T             # sums each diagonal
-        return (np.moveaxis(gx3.reshape(moved.shape), (0, -1), (-1, axis)), gk)
+        return (gx3.reshape(moved.shape).transpose(from_rows), gk)
 
     return _maybe_record(out, (x, kernels), backward)
 
@@ -431,7 +459,7 @@ def max_pool(x: Tensor, axes, kernel: int = 3) -> Tensor:
 
     # each window axis sits right after its outer axis; max over them in place
     win_pos = [ax + 1 + rank for rank, ax in enumerate(axes)]
-    out = Tensor(windowed.max(axis=tuple(win_pos)), check_finite=False)
+    out = _op_output(windowed.max(axis=tuple(win_pos)))
 
     def backward(g):
         # move the window axes to the end in ascending original-axis order, so
@@ -491,13 +519,17 @@ def batch_norm(x: Tensor, channel_axis: int, state: BatchNormState, mode: str) -
         raise ValueError(f"unknown batch_norm mode {mode!r}")
 
     x2 = x.data.reshape(-1, channels)
+    rows = x2.shape[0]
     gamma = state.gamma.data
+    # the same IEEE operations in the same order as gamma * xhat + beta with
+    # xhat = (x2 - mean) * inv, run in place on arrays the op allocated
     if mode == "train":
-        mu = x2.mean(axis=0)
-        centered = x2 - mu
-        var = (centered * centered).mean(axis=0)
+        mu = np.add.reduce(x2, axis=0) / rows
+        xhat = x2 - mu
+        var = np.add.reduce(xhat * xhat, axis=0) / rows
         inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = centered * inv
+        xhat *= inv
+        y = gamma * xhat
         m = state.momentum
         state.running_mean = m * state.running_mean + (1.0 - m) * mu
         state.running_var = m * state.running_var + (1.0 - m) * var
@@ -505,18 +537,22 @@ def batch_norm(x: Tensor, channel_axis: int, state: BatchNormState, mode: str) -
     else:
         if not state.initialized:
             raise RuntimeError("batch_norm eval mode before any train-mode update: running stats uninitialized")
+        running_mean = state.running_mean
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x2 - state.running_mean) * inv
-
-    out = Tensor((gamma * xhat + state.beta.data).reshape(x.shape), check_finite=False)
+        y = x2 - running_mean
+        y *= inv
+        y *= gamma
+    y += state.beta.data
+    out = _op_output(y.reshape(x.shape))
 
     def backward(g):
         g2 = g.reshape(-1, channels)
-        g_gamma = (g2 * xhat).sum(axis=0)
+        # eval mode keeps no xhat: y holds the output, so recompute it
+        xh = xhat if mode == "train" else (x2 - running_mean) * inv
+        g_gamma = (g2 * xh).sum(axis=0)
         g_beta = g2.sum(axis=0)
         if mode == "train":
-            n = g2.shape[0]
-            g2 = g2 - g_beta / n - xhat * (g_gamma / n)
+            g2 = g2 - g_beta / rows - xhat * (g_gamma / rows)
         return ((g2 * (gamma * inv)).reshape(x.shape), g_gamma, g_beta)
 
     return _maybe_record(out, (x, state.gamma, state.beta), backward)
@@ -539,6 +575,7 @@ def loss(predictions: Tensor, targets, mode: str) -> Tensor:
         raise ShapeError(f"predictions must be (batch, classes); got {predictions.shape}")
     batch, num_classes = predictions.shape
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
+    # np.minimum(np.maximum(...)) is np.clip's arithmetic, without its wrapper
 
     if mode == "single_label_ce":
         targets = np.asarray(targets, dtype=np.int64)
@@ -547,8 +584,8 @@ def loss(predictions: Tensor, targets, mode: str) -> Tensor:
         if targets.min() < 0 or targets.max() >= num_classes:
             raise IndexError(f"target index out of range [0, {num_classes})")
         p_raw = predictions.data[np.arange(batch), targets]
-        p = np.clip(p_raw, lo, hi)
-        out = Tensor(np.asarray(-np.log(p).mean()), check_finite=False)
+        p = np.minimum(np.maximum(p_raw, lo), hi)
+        out = _op_output(-(np.add.reduce(np.log(p)) / batch))
 
         def backward(g):
             gp = np.zeros_like(predictions.data)
@@ -563,10 +600,10 @@ def loss(predictions: Tensor, targets, mode: str) -> Tensor:
         if targets.shape != predictions.shape:
             raise ShapeError(f"targets shape {targets.shape} does not match predictions {predictions.shape}")
         p_raw = predictions.data
-        p = np.clip(p_raw, lo, hi)
+        p = np.minimum(np.maximum(p_raw, lo), hi)
         total = batch * num_classes
-        out = Tensor(np.asarray(-(targets * np.log(p) + (1.0 - targets) * np.log1p(-p)).mean()),
-                     check_finite=False)
+        bce = targets * np.log(p) + (1.0 - targets) * np.log1p(-p)
+        out = _op_output(-(np.add.reduce(bce, axis=None) / total))
 
         def backward(g):
             active = (p_raw > lo) & (p_raw < hi)

@@ -185,6 +185,17 @@ def _full_eval_loss(model, x, targets):
     return lambda: tz.loss(model.forward_batch(x, mode="eval"), targets, "single_label_ce")
 
 
+def _record_calls(obj, method_name, calls):
+    """Shadow obj.method_name with a wrapper that appends its name to calls."""
+    method = getattr(obj, method_name)
+
+    def recorded(*args, **kwargs):
+        calls.append(method_name)
+        return method(*args, **kwargs)
+
+    setattr(obj, method_name, recorded)
+
+
 MODEL_CONFIGS = pytest.mark.parametrize("config", [MICRO_MODEL_CONFIG, DESK_MODEL_CONFIG],
                                         ids=["micro", "desk"])
 
@@ -196,6 +207,10 @@ class TestStagedEvalLoss:
         staged, full = StagedEvalLoss(model, x, targets), _full_eval_loss(model, x, targets)
         base = full().data.tobytes()
         assert staged().data.tobytes() == base
+        # which stages a staged call reruns: the head alone for a classifier weight
+        stage_calls = []
+        for stage in ("embed", "classifier_input"):
+            _record_calls(model, stage, stage_calls)
         rng = np.random.default_rng(4)
         for name, p in model.named_parameters().items():
             flat = p.data.reshape(-1)
@@ -203,7 +218,11 @@ class TestStagedEvalLoss:
             orig = flat[i]
             for step in (1e-5, -1e-5):
                 flat[i] = orig + step
-                assert staged().data.tobytes() == full().data.tobytes(), name
+                stage_calls.clear()
+                value = staged().data.tobytes()
+                expected = [] if name.startswith("classifier.") else ["embed", "classifier_input"]
+                assert stage_calls == expected, name
+                assert value == full().data.tobytes(), name
             flat[i] = orig
             assert staged().data.tobytes() == base, name
 
@@ -301,6 +320,25 @@ class TestSgd:
         from videograph.training import RunConfig
         cfg = RunConfig()
         assert (cfg.learning_rate, cfg.momentum, cfg.weight_decay) == (0.1, 0.9, 1e-5)
+
+    def test_in_place_step_bitwise_equal_out_of_place_expression(self):
+        rng = np.random.default_rng(11)
+        params = {"w": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=4), requires_grad=True)}
+        lr, momentum, decay = 0.1, 0.9, 1e-5
+        opt = SgdMomentum(params, learning_rate=lr, momentum=momentum, weight_decay=decay)
+        ref_data = {n: p.data.copy() for n, p in params.items()}
+        ref_velocity = {n: np.zeros_like(p.data) for n, p in params.items()}
+        for _ in range(50):
+            for n, p in params.items():
+                g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
+                p.grad = g.copy()
+                ref_velocity[n] = momentum * ref_velocity[n] + (g + decay * ref_data[n])
+                ref_data[n] = ref_data[n] - lr * ref_velocity[n]
+            opt.step()
+            for n, p in params.items():
+                assert p.data.tobytes() == ref_data[n].tobytes()
+                assert opt.velocity[n].tobytes() == ref_velocity[n].tobytes()
 
     def test_missing_grad_rejected(self):
         p = Tensor(np.zeros(2), requires_grad=True)

@@ -119,6 +119,48 @@ class TestGraphEmbedding:
         expected = np.maximum(params.bn.beta.data, 0.0)
         np.testing.assert_allclose(out.data.reshape(c), expected.reshape(c), atol=1e-2)
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("case", ["normal", "integer_ties", "all_negative_windows"])
+    def test_pool_before_relu_bitwise_equals_relu_then_pool(self, mode, case):
+        """Output and every input and parameter gradient match relu-then-pool bit for bit."""
+
+        def relu_then_pool(h, params, mode):
+            c = h.shape[-1]
+            h = tz.depthwise_conv1d(h, 1, params.time_kernels)
+            h = tz.depthwise_conv1d(h, 2, params.node_kernels)
+            flat = tz.add(tz.matmul(tz.reshape(h, (-1, c)), params.channel_mixer),
+                          params.channel_bias)
+            h = tz.batch_norm(tz.reshape(flat, h.shape), h.ndim - 1, params.bn, mode)
+            return tz.max_pool(tz.relu(h), (1, 2), kernel=3)
+
+        c, shape = 3, (2, 7, 6, 1, 2, 3)
+        for seed in range(10):
+            runs = []
+            for layer in (relu_then_pool, graph_embedding_forward):
+                rng = np.random.default_rng(seed)
+                params = GraphEmbeddingParams(c, 3, 3, rng)
+                if case == "integer_ties":
+                    x = rng.integers(-2, 3, size=shape).astype(np.float64)
+                    for p in (params.time_kernels, params.node_kernels, params.channel_mixer):
+                        p.data[:] = rng.integers(-1, 2, size=p.shape)
+                else:
+                    x = rng.normal(size=shape)
+                shift = -100.0 if case == "all_negative_windows" else 0.0
+                params.bn.beta.data[:] = rng.normal(size=c) + shift
+                params.bn.running_mean = rng.normal(size=c)
+                params.bn.running_var = rng.uniform(0.5, 2.0, size=c)
+                params.bn.initialized = True
+                x = Tensor(x, requires_grad=True)
+                tensors = [x, *params.named_parameters("layer").values()]
+                with tz.Tape() as tape:
+                    out = layer(x, params, mode)
+                    w = Tensor(rng.normal(size=out.shape))
+                    tape.backward(tz.mean(tz.reshape(tz.mul(out, w), (out.size,)), axes=0))
+                if case == "all_negative_windows":
+                    assert not out.data.any()
+                runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+            assert runs[0] == runs[1], seed
+
     def test_full_scale_shape_reduction(self):
         stages = dict(shape_inference(full_scale_config()))
         assert stages["graph_embedding_1"] == (21, 42, 7, 7, 1024)

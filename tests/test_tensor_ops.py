@@ -222,6 +222,22 @@ class TestDepthwiseConv:
         for j in range(3):
             np.testing.assert_array_equal(taps[j].reshape(6, 6), np.eye(6, k=1 - j))
 
+    @pytest.mark.parametrize("ndim", range(2, 8))
+    def test_permutations_are_the_moveaxis_calls(self, ndim):
+        rng = np.random.default_rng(ndim)
+        x = rng.normal(size=tuple(int(v) for v in rng.integers(2, 4, size=ndim)))
+        for axis in range(ndim - 1):
+            to_rows, from_rows = tz._conv_permutations(ndim, axis)
+            moved = x.transpose(to_rows)
+            ref = np.moveaxis(x, (-1, axis), (0, -1))
+            assert (moved.shape, moved.strides) == (ref.shape, ref.strides)
+            np.testing.assert_array_equal(moved, ref)
+            back = moved.transpose(from_rows)
+            ref_back = np.moveaxis(ref, (0, -1), (-1, axis))
+            assert (back.shape, back.strides) == (ref_back.shape, ref_back.strides)
+            assert (back.shape, back.strides) == (x.shape, x.strides)
+            np.testing.assert_array_equal(back, x)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
             tz.depthwise_conv1d(Tensor(np.zeros((4, 2))), 0, Tensor(np.zeros((2, 4))))
@@ -241,6 +257,35 @@ class TestDepthwiseConv:
         rhs = (a * tz.depthwise_conv1d(Tensor(x), 0, kernels).data
                + b * tz.depthwise_conv1d(Tensor(y), 0, kernels).data)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+@st.composite
+def mean_cases(draw):
+    """A shape, a tuple of (possibly negative) axes, keepdims, and a seed."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    ndim = len(shape)
+    axes = draw(st.one_of(st.just(tuple(range(ndim))),
+                          st.lists(st.integers(0, ndim - 1), unique=True, min_size=1).map(tuple)))
+    axes = tuple(ax - ndim if draw(st.booleans()) else ax for ax in axes)
+    return shape, axes, draw(st.booleans()), draw(st.integers(0, 10**6))
+
+
+class TestMean:
+    @given(mean_cases(), st.sampled_from([np.float64, np.float32]))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_np_mean(self, case, dtype):
+        shape, axes, keepdims, seed = case
+        x = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+        got = tz.mean(Tensor(x), axes=axes, keepdims=keepdims).data
+        ref = np.asarray(np.mean(x, axis=axes, keepdims=keepdims))
+        assert type(got) is np.ndarray
+        assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_all_axes_scalar_is_a_0d_array(self):
+        out = tz.mean(Tensor(np.arange(6.0).reshape(2, 3)), axes=(0, 1))
+        assert type(out.data) is np.ndarray and out.shape == ()
+        assert out.item() == 2.5
 
 
 class TestMeanExact:
@@ -273,6 +318,12 @@ class TestActivations:
         np.testing.assert_allclose(out, 1.0 / (1.0 + np.exp(-10.0)), atol=1e-15)
         np.testing.assert_allclose(out, 0.9999546, atol=1e-7)
 
+    def test_sigmoid_bitwise_equal_three_exp_form(self):
+        x = np.random.default_rng(0).normal(scale=20.0, size=(50, 7))
+        ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        assert tz.sigmoid(Tensor(x)).data.tobytes() == ref.tobytes()
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown activation"):
             tz.activation(Tensor(np.zeros(1)), "gelu")
@@ -287,6 +338,13 @@ class TestSoftmax:
         out = tz.softmax(Tensor(np.array([[0.0, np.log(2.0)]])), axis=1)
         np.testing.assert_allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-15)
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_bitwise_equal_out_of_place_form(self, axis):
+        x = np.random.default_rng(axis).normal(scale=5.0, size=(6, 9))
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        ref = e / e.sum(axis=axis, keepdims=True)
+        assert tz.softmax(Tensor(x), axis=axis).data.tobytes() == ref.tobytes()
+
     @given(st.integers(1, 6), st.integers(0, 10**6),
            st.floats(-50, 50, allow_nan=False))
     @settings(max_examples=30, deadline=None)
@@ -299,7 +357,47 @@ class TestSoftmax:
         np.testing.assert_allclose(shifted, out, atol=1e-9)
 
 
+def batch_norm_reference(x2, state, mode, g2):
+    """The out-of-place np.mean formulation of batch_norm: output, stats and gradients."""
+    gamma, beta, m = state.gamma.data, state.beta.data, state.momentum
+    running_mean, running_var = state.running_mean, state.running_var
+    if mode == "train":
+        mu = x2.mean(axis=0)
+        centered = x2 - mu
+        var = (centered * centered).mean(axis=0)
+        inv = 1.0 / np.sqrt(var + state.eps)
+        xhat = centered * inv
+        running_mean = m * running_mean + (1.0 - m) * mu
+        running_var = m * running_var + (1.0 - m) * var
+    else:
+        inv = 1.0 / np.sqrt(running_var + state.eps)
+        xhat = (x2 - running_mean) * inv
+    g_gamma, g_beta = (g2 * xhat).sum(axis=0), g2.sum(axis=0)
+    if mode == "train":
+        n = g2.shape[0]
+        g2 = g2 - g_beta / n - xhat * (g_gamma / n)
+    return (gamma * xhat + beta, running_mean, running_var, g2 * (gamma * inv), g_gamma, g_beta)
+
+
 class TestBatchNorm:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_out_of_place_form(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        rows, c = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        x = Tensor(rng.normal(loc=3.0, size=(rows, c)), requires_grad=True)
+        state = BatchNormState(c)
+        state.gamma = Tensor(rng.normal(size=c), requires_grad=True)
+        state.beta = Tensor(rng.normal(size=c), requires_grad=True)
+        state.running_mean, state.running_var = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+        state.initialized = True
+        g = rng.normal(size=(rows, c))
+        ref = batch_norm_reference(x.data, state, mode, g)
+        with tz.Tape() as tape:
+            out = tz.batch_norm(x, 1, state, mode)
+        got = (out.data, state.running_mean, state.running_var, *tape.ops[-1].backward_fn(g))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
     def test_constant_input_maps_to_zero(self):
         state = BatchNormState(3)
         x = Tensor(np.full((8, 3), 2.5))
@@ -440,11 +538,55 @@ class TestLoss:
         with pytest.raises(IndexError, match="out of range"):
             tz.loss(Tensor(np.full((1, 3), 1 / 3)), [3], "single_label_ce")
 
+    @pytest.mark.parametrize("batch", [3, 5, 6, 7, 11])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_clip_and_mean_form(self, batch, seed):
+        """Value and gradient equal the np.clip / np.mean formulation, clamp active or not."""
+        rng = np.random.default_rng(seed)
+        k = 4
+        lo, hi = tz.PROB_CLAMP, 1.0 - tz.PROB_CLAMP
+        edges = np.array([0.0, 1e-12, lo, np.nextafter(lo, 1.0), 0.5, np.nextafter(hi, 0.0), hi,
+                          1.0 - 1e-12, 1.0])
+        pred = np.where(rng.random((batch, k)) < 0.5, rng.choice(edges, (batch, k)),
+                        rng.random((batch, k)))
+        labels = rng.integers(0, k, size=batch)
+        multi = rng.integers(0, 2, size=(batch, k)).astype(np.float64)
+        p_single = np.clip(pred[np.arange(batch), labels], lo, hi)
+        p_multi = np.clip(pred, lo, hi)
+        cases = [("single_label_ce", labels, -np.log(p_single).mean()),
+                 ("multi_label_bce", multi,
+                  -(multi * np.log(p_multi) + (1.0 - multi) * np.log1p(-p_multi)).mean())]
+        for mode, targets, ref_value in cases:
+            x = Tensor(pred, requires_grad=True)
+            with tz.Tape() as tape:
+                out = tz.loss(x, targets, mode)
+                tape.backward(out)
+            assert out.item().hex() == float(ref_value).hex(), mode
+            active = (pred > lo) & (pred < hi)
+            if mode == "single_label_ce":
+                ref_grad = np.zeros_like(pred)
+                ref_grad[np.arange(batch), labels] = np.where(
+                    active[np.arange(batch), labels], -1.0 / (batch * p_single), 0.0)
+            else:
+                ref_grad = np.where(active, (p_multi - multi) / (p_multi * (1.0 - p_multi))
+                                    / (batch * k), 0.0)
+            assert x.grad.tobytes() == ref_grad.tobytes(), mode
+
 
 class TestTensorInvariants:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             Tensor(np.array([1.0, np.nan]))
+
+    def test_op_outputs_skip_the_scan_that_public_tensors_run(self):
+        for bad in (np.array([np.nan]), np.array([np.inf]), [1.0, -np.inf]):
+            with pytest.raises(ValueError, match="non-finite"):
+                Tensor(bad)
+        with np.errstate(over="ignore"):
+            out = tz.mul(Tensor(np.array([1e300])), Tensor(np.array([1e300])))
+        assert np.isinf(out.data).all() and type(out.data) is np.ndarray
+        scalar = tz.add(Tensor(1.0), Tensor(2.0))
+        assert type(scalar.data) is np.ndarray and scalar.shape == () and scalar.item() == 3.0
 
     def test_grad_accumulates(self):
         x = Tensor(np.ones(3), requires_grad=True)
