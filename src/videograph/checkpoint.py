@@ -80,18 +80,35 @@ def save_checkpoint(model, optimizer: SgdMomentum, epoch: int, path,
     return path
 
 
-def _read_record(payload: bytes, rec: dict, cursor: int) -> tuple[np.ndarray, int]:
-    name, shape, offset = rec["name"], tuple(rec["shape"]), rec["offset"]
-    if offset != cursor:
-        raise CheckpointError(f"parameter {name!r}: offset {offset} breaks payload contiguity "
-                              f"(expected {cursor})")
-    nbytes = int(np.prod(shape, dtype=np.int64)) * 4
-    if offset + nbytes > len(payload):
-        raise CheckpointError(f"parameter {name!r}: record of {nbytes} bytes overruns payload "
-                              f"of {len(payload)} bytes")
-    arr = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape, dtype=np.int64)),
-                        offset=offset).reshape(shape)
-    return arr, offset + nbytes
+def _read_group(payload: bytes, manifest: dict, group: str, targets: dict[str, np.ndarray],
+                cursor: int) -> int:
+    """Copy one record group ("params", "velocities" or "buffers") into its target arrays.
+
+    The records must lie back to back from `cursor` and name exactly the
+    targets, each with its shape. Returns the cursor after the group.
+    """
+    records = manifest.get(group, [])
+    for rec in records:
+        name, shape, offset = rec["name"], tuple(rec["shape"]), rec["offset"]
+        if name not in targets:
+            raise CheckpointError(f"{group} record {name!r} does not exist in the model")
+        if shape != targets[name].shape:
+            raise CheckpointError(f"{group} record {name!r}: manifest shape {shape} does not "
+                                  f"match model shape {targets[name].shape}")
+        if offset != cursor:
+            raise CheckpointError(f"{group} record {name!r}: offset {offset} breaks payload "
+                                  f"contiguity (expected {cursor})")
+        count = int(np.prod(shape, dtype=np.int64))
+        cursor = offset + 4 * count
+        if cursor > len(payload):
+            raise CheckpointError(f"{group} record {name!r}: record of {4 * count} bytes overruns "
+                                  f"payload of {len(payload)} bytes")
+        targets[name][...] = np.frombuffer(payload, dtype="<f4", count=count,
+                                           offset=offset).reshape(shape)
+    missing = set(targets) - {rec["name"] for rec in records}
+    if missing:
+        raise CheckpointError(f"{group}: missing record(s) {sorted(missing)}")
+    return cursor
 
 
 @dataclass
@@ -129,41 +146,11 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     model.config = config
 
     params = model.named_parameters()
-    cursor = 0
-    seen = set()
-    for rec in manifest["params"]:
-        arr, cursor = _read_record(payload, rec, cursor)
-        name = rec["name"]
-        if name not in params:
-            raise CheckpointError(f"manifest parameter {name!r} does not exist in the model")
-        if params[name].data.shape != arr.shape:
-            raise CheckpointError(f"parameter {name!r}: manifest shape {arr.shape} does not match "
-                                  f"model shape {params[name].data.shape}")
-        params[name].data = arr.astype(np.float64)
-        seen.add(name)
-    missing = set(params) - seen
-    if missing:
-        raise CheckpointError(f"missing parameter record(s): {sorted(missing)}")
-
-    opt_cfg = manifest.get("optimizer", {})
-    optimizer = SgdMomentum(params,
-                            learning_rate=opt_cfg.get("learning_rate", 0.1),
-                            momentum=opt_cfg.get("momentum", 0.9),
-                            weight_decay=opt_cfg.get("weight_decay", 1e-5))
-    for rec in manifest["velocities"]:
-        arr, cursor = _read_record(payload, rec, cursor)
-        name = rec["name"]
-        if name not in optimizer.velocity:
-            raise CheckpointError(f"velocity record {name!r} does not match any trainable parameter")
-        optimizer.velocity[name] = arr.astype(np.float64)
-
-    buffers = _buffer_arrays(model)
-    for rec in manifest.get("buffers", []):
-        arr, cursor = _read_record(payload, rec, cursor)
-        name = rec["name"]
-        if name not in buffers:
-            raise CheckpointError(f"buffer record {name!r} does not exist in the model")
-        buffers[name][...] = arr.astype(np.float64)
+    cursor = _read_group(payload, manifest, "params",
+                         {name: p.data for name, p in params.items()}, 0)
+    optimizer = SgdMomentum(params, **manifest.get("optimizer", {}))
+    cursor = _read_group(payload, manifest, "velocities", optimizer.velocity, cursor)
+    cursor = _read_group(payload, manifest, "buffers", _buffer_arrays(model), cursor)
     if cursor != len(payload):
         raise CheckpointError(f"payload has {len(payload) - cursor} trailing bytes")
 

@@ -27,18 +27,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tz
-from .model import (GraphEmbeddingParams, NodeAttentionParams, VideoGraphConfig,
-                    VideoGraphModel, desk_config, graph_embedding_forward,
+from .model import (POOL_KERNEL, GraphEmbeddingParams, NodeAttentionParams,
+                    VideoGraphConfig, VideoGraphModel, desk_config, graph_embedding_forward,
                     node_attention_forward)
-from .tensor import BatchNormState, Tape, Tensor, grad_check
+from .tensor import BatchNormState, Tensor, grad_check
 
+GRAD_CHECK_THRESHOLD = 1e-4
 # a kink only corrupts central differences when a pre-relu value or a
-# pooling-window gap crosses zero within +-h; sensitivities are O(1), so
-# 1e-4 clears the h=1e-5 crossing band with an order of magnitude to spare
+# pooling-window gap crosses zero within +-tz.FD_STEP (1e-5); sensitivities
+# are O(1), so 1e-4 clears that crossing band with an order of magnitude to spare
 RELU_MARGIN = 1e-4
 POOL_GAP_MARGIN = 1e-4
-# FD noise on the loss is a few ulps (~1e-11 after dividing by 2h); a true
-# gradient below this floor cannot be certified at the 1e-4 threshold, so
+# FD noise on the loss is a few ulps (~1e-11 after dividing by 2 * tz.FD_STEP);
+# a true gradient below this floor cannot be certified at GRAD_CHECK_THRESHOLD, so
 # draws containing such components are rejected up front. Components whose
 # gradient is exactly zero are fine: the loss is bitwise independent of
 # them, so central differences return exactly zero too.
@@ -50,11 +51,10 @@ MAX_DRAW_ATTEMPTS = 50
 class GradCheckResult:
     name: str
     max_error: float
-    threshold: float = 1e-4
 
     @property
     def passed(self) -> bool:
-        return self.max_error <= self.threshold
+        return self.max_error <= GRAD_CHECK_THRESHOLD
 
 
 def _away_from_zero(arr: np.ndarray, margin: float = 0.1) -> np.ndarray:
@@ -68,26 +68,13 @@ def _distinct_values(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return (base + rng.uniform(-0.01, 0.01, size)).reshape(shape)
 
 
-def _min_pool_gap(arr: np.ndarray, axes: tuple, kernel: int = 3) -> float:
-    """Smallest (max - runner-up) over pooling windows whose max is positive.
+def _min_pool_gap(arr: np.ndarray, axes: tuple) -> float:
+    """Smallest (max - runner-up) over the `max_pool` windows whose max is positive.
 
     All-zero windows are fine: relu already blocks gradient flow there.
     """
-    axes = sorted(axes)
-    trim = [slice(None)] * arr.ndim
-    shape = []
-    for i, length in enumerate(arr.shape):
-        if i in axes:
-            trim[i] = slice(0, (length // kernel) * kernel)
-            shape.extend([length // kernel, kernel])
-        else:
-            shape.append(length)
-    windowed = arr[tuple(trim)].reshape(shape)
-    win_pos = [ax + 1 + rank for rank, ax in enumerate(axes)]
-    m = len(axes)
-    moved = np.moveaxis(windowed, win_pos, range(windowed.ndim - m, windowed.ndim))
-    flat = moved.reshape(-1, kernel ** m)
-    top2 = np.sort(flat, axis=1)[:, -2:]
+    rows = tz.pool_windows(arr, axes, POOL_KERNEL).flat()
+    top2 = np.sort(rows.reshape(-1, rows.shape[-1]), axis=1)[:, -2:]
     gaps = top2[:, 1] - top2[:, 0]
     live = top2[:, 1] > 0
     return float(gaps[live].min()) if live.any() else np.inf
@@ -226,27 +213,16 @@ def check_node_attention(rng):
 
 def _bias_gradient_magnitude(f, bias: Tensor) -> float:
     """Max |analytic gradient| of a parameter: cheap zero-gradient assertion."""
-    bias.zero_grad()
-    with Tape() as tape:
-        tape.backward(f())
-    mag = float(np.abs(bias.grad).max()) if bias.grad is not None else 0.0
-    bias.zero_grad()
-    return mag
+    return float(np.abs(tz.tape_gradients(f, [bias])[0]).max())
 
 
 def _smallest_live_gradient(f, tensors) -> float:
     """Smallest nonzero |analytic gradient| component across tensors."""
-    for t in tensors:
-        t.zero_grad()
-    with Tape() as tape:
-        tape.backward(f())
     smallest = np.inf
-    for t in tensors:
-        if t.grad is not None:
-            live = np.abs(t.grad[t.grad != 0.0])
-            if live.size:
-                smallest = min(smallest, float(live.min()))
-        t.zero_grad()
+    for grad in tz.tape_gradients(f, tensors):
+        live = np.abs(grad[grad != 0.0])
+        if live.size:
+            smallest = min(smallest, float(live.min()))
     return smallest
 
 
@@ -416,7 +392,7 @@ OP_CHECKS = [
 MODEL_CHECKS = [("full_model_desk", check_full_model_desk)]
 
 
-def run_gradient_suite(seed: int = 0, num_seeds: int = 10, threshold: float = 1e-4,
+def run_gradient_suite(seed: int = 0, num_seeds: int = 10,
                        include_desk_model: bool = True) -> list[GradCheckResult]:
     """Run every check over num_seeds random draws; the desk-dims full-model
     check runs once (it finite-differences every parameter of the model)."""
@@ -426,9 +402,9 @@ def run_gradient_suite(seed: int = 0, num_seeds: int = 10, threshold: float = 1e
         for s in range(num_seeds):
             rng = np.random.default_rng((seed, s, check_id))
             worst = max(worst, fn(rng))
-        results.append(GradCheckResult(name, worst, threshold))
+        results.append(GradCheckResult(name, worst))
     if include_desk_model:
         for check_id, (name, fn) in enumerate(MODEL_CHECKS, start=len(OP_CHECKS)):
             rng = np.random.default_rng((seed, 0, check_id))
-            results.append(GradCheckResult(name, fn(rng), threshold))
+            results.append(GradCheckResult(name, fn(rng)))
     return results

@@ -37,7 +37,3 @@ class SgdMomentum:
             v += p.grad + self.weight_decay * p.data
             p.data -= self.learning_rate * v
             p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None

@@ -17,7 +17,8 @@ Conventions fixed here so results are reproducible:
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+import math
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -430,6 +431,50 @@ def depthwise_conv1d(x: Tensor, axis: int, kernels: Tensor) -> Tensor:
 # Max pooling (non-overlapping windows, kernel == stride)
 
 
+class PoolWindows(NamedTuple):
+    """The layout of an array's non-overlapping pooling windows (see `pool_windows`)."""
+
+    trim: tuple             # drops the tail beyond each pooled axis's last full window
+    windowed: np.ndarray    # trimmed view, each pooled axis split into (windows, kernel)
+    window_axes: tuple      # positions of the kernel axes in `windowed`
+
+    def flat(self) -> np.ndarray:
+        """A copy with each window flattened row-major into the last axis.
+
+        Row-major is what sends an argmax tie to the lowest index.
+        """
+        m = len(self.window_axes)
+        moved = np.moveaxis(self.windowed, self.window_axes, range(-m, 0))
+        return moved.reshape(moved.shape[:-m] + (math.prod(moved.shape[-m:]),))
+
+    def unflat(self, rows: np.ndarray) -> np.ndarray:
+        """Inverse of `flat`: rows back in the layout of `windowed`."""
+        kernel_axes = tuple(self.windowed.shape[a] for a in self.window_axes)
+        moved = rows.reshape(rows.shape[:-1] + kernel_axes)
+        return np.moveaxis(moved, range(-len(kernel_axes), 0), self.window_axes)
+
+
+def pool_windows(x: np.ndarray, axes, kernel: int) -> PoolWindows:
+    """The `kernel`-wide windows along each axis in axes that `max_pool` reduces."""
+    axes = sorted(ax % x.ndim for ax in (axes if isinstance(axes, (tuple, list)) else (axes,)))
+    if len(set(axes)) != len(axes):
+        raise ShapeError(f"duplicate pooled axes {axes}")
+    trim, windowed_shape = [], []
+    for i, length in enumerate(x.shape):
+        if i not in axes:
+            trim.append(slice(None))
+            windowed_shape.append(length)
+        elif length < kernel:
+            raise ShapeError(f"axis {i} has length {length} < pooling kernel {kernel}")
+        else:
+            trim.append(slice(0, (length // kernel) * kernel))
+            windowed_shape.extend([length // kernel, kernel])
+    trim = tuple(trim)
+    # each window axis sits right after its outer axis
+    window_axes = tuple(ax + 1 + rank for rank, ax in enumerate(axes))
+    return PoolWindows(trim, x[trim].reshape(windowed_shape), window_axes)
+
+
 def max_pool(x: Tensor, axes, kernel: int = 3) -> Tensor:
     """Non-overlapping max over `kernel`-wide windows along each axis in axes.
 
@@ -438,42 +483,17 @@ def max_pool(x: Tensor, axes, kernel: int = 3) -> Tensor:
     broken to the lowest row-major index.
     """
     x = as_tensor(x)
-    axes = sorted(ax % x.ndim for ax in (axes if isinstance(axes, (tuple, list)) else (axes,)))
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"duplicate pooled axes {axes}")
-    for ax in axes:
-        if x.shape[ax] < kernel:
-            raise ShapeError(f"axis {ax} has length {x.shape[ax]} < pooling kernel {kernel}")
-
-    trim = [slice(None)] * x.ndim
-    windowed_shape = []
-    for i, length in enumerate(x.shape):
-        if i in axes:
-            full = (length // kernel) * kernel
-            trim[i] = slice(0, full)
-            windowed_shape.extend([length // kernel, kernel])
-        else:
-            windowed_shape.append(length)
-    trimmed = x.data[tuple(trim)]
-    windowed = trimmed.reshape(windowed_shape)
-
-    # each window axis sits right after its outer axis; max over them in place
-    win_pos = [ax + 1 + rank for rank, ax in enumerate(axes)]
-    out = _op_output(windowed.max(axis=tuple(win_pos)))
+    windows = pool_windows(x.data, axes, kernel)
+    out = _op_output(windows.windowed.max(axis=windows.window_axes))
 
     def backward(g):
-        # move the window axes to the end in ascending original-axis order, so
-        # the flattened window is row-major and argmax ties go to the lowest index
-        m = len(axes)
-        moved = np.moveaxis(windowed, win_pos, range(windowed.ndim - m, windowed.ndim))
-        flat_w = moved.reshape(moved.shape[:-m] + (kernel ** m,))
-        idx = flat_w.argmax(axis=-1)
-        gw = np.zeros_like(flat_w)
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gw = gw.reshape(moved.shape)
-        gw = np.moveaxis(gw, range(windowed.ndim - m, windowed.ndim), win_pos)
+        rows = windows.flat()
+        idx = rows.argmax(axis=-1)
+        g_rows = np.zeros_like(rows)
+        np.put_along_axis(g_rows, idx[..., None], g[..., None], axis=-1)
         gx = np.zeros_like(x.data)
-        gx[tuple(trim)] = gw.reshape(trimmed.shape)
+        trimmed = gx[windows.trim]
+        trimmed[...] = windows.unflat(g_rows).reshape(trimmed.shape)
         return (gx,)
 
     return _maybe_record(out, (x,), backward)
@@ -483,17 +503,19 @@ def max_pool(x: Tensor, axes, kernel: int = 3) -> Tensor:
 # Batch normalization
 
 
-class BatchNormState:
-    """Learnable scale/shift plus running statistics over one channel axis."""
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.9     # weight of the old running statistics in each blend
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9, dtype=np.float64):
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+
+class BatchNormState:
+    """Learnable scale/shift plus float64 running statistics over one channel axis."""
+
+    def __init__(self, channels: int):
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
         self.initialized = False
-        self.eps = eps
-        self.momentum = momentum
 
     @property
     def channels(self) -> int:
@@ -527,10 +549,10 @@ def batch_norm(x: Tensor, channel_axis: int, state: BatchNormState, mode: str) -
         mu = np.add.reduce(x2, axis=0) / rows
         xhat = x2 - mu
         var = np.add.reduce(xhat * xhat, axis=0) / rows
-        inv = 1.0 / np.sqrt(var + state.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv
         y = gamma * xhat
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = m * state.running_mean + (1.0 - m) * mu
         state.running_var = m * state.running_var + (1.0 - m) * var
         state.initialized = True
@@ -538,7 +560,7 @@ def batch_norm(x: Tensor, channel_axis: int, state: BatchNormState, mode: str) -
         if not state.initialized:
             raise RuntimeError("batch_norm eval mode before any train-mode update: running stats uninitialized")
         running_mean = state.running_mean
-        inv = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv = 1.0 / np.sqrt(state.running_var + BN_EPS)
         y = x2 - running_mean
         y *= inv
         y *= gamma
@@ -619,20 +641,34 @@ def loss(predictions: Tensor, targets, mode: str) -> Tensor:
 # Finite-difference gradient checking
 
 
-def grad_check(f: Callable[[], Tensor], tensors: Sequence[Tensor], h: float = 1e-5) -> float:
-    """Compare tape gradients of scalar f() against central finite differences.
+def tape_gradients(f: Callable[[], Tensor], tensors: Sequence[Tensor]) -> list[np.ndarray]:
+    """Gradients of scalar f() with respect to each tensor, from one taped call.
 
-    Returns the max relative error |a - n| / max(1e-8, |a| + |n|) over every
-    component of every tensor in `tensors`. Inputs should be 64-bit.
+    A tensor no gradient reaches gets zeros. Every tensor's .grad is cleared
+    before and after, so the call leaves no gradient behind.
     """
     for t in tensors:
         t.zero_grad()
-    with Tape() as tape:
-        out = f()
-        if out.size != 1:
-            raise ShapeError(f"grad_check requires a scalar function, got shape {out.shape}")
-        tape.backward(out)
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+    try:
+        with Tape() as tape:
+            tape.backward(f())
+        return [np.zeros_like(t.data) if t.grad is None else t.grad for t in tensors]
+    finally:
+        for t in tensors:
+            t.zero_grad()
+
+
+FD_STEP = 1e-5
+
+
+def grad_check(f: Callable[[], Tensor], tensors: Sequence[Tensor]) -> float:
+    """Compare tape gradients of scalar f() against central finite differences.
+
+    Returns the max relative error |a - n| / max(1e-8, |a| + |n|) over every
+    component of every tensor in `tensors`, n being the central difference
+    with step FD_STEP. Inputs should be 64-bit.
+    """
+    analytic = tape_gradients(f, tensors)
 
     worst = 0.0
     for t, a in zip(tensors, analytic):
@@ -642,14 +678,14 @@ def grad_check(f: Callable[[], Tensor], tensors: Sequence[Tensor], h: float = 1e
         a_flat = a.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             fp = f().item()
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             fm = f().item()
             flat[i] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise ValueError("non-finite value encountered during finite differencing")
-            n = (fp - fm) / (2.0 * h)
+            n = (fp - fm) / (2.0 * FD_STEP)
             rel = abs(a_flat[i] - n) / max(1e-8, abs(a_flat[i]) + abs(n))
             worst = max(worst, rel)
     return worst

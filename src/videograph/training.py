@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,9 @@ from .synthetic import perturbation_indices
 from .tensor import Tape, Tensor
 
 METRIC_HEADER = ("epoch", "train_loss", "train_acc", "val_metric", "mean_node_distance")
+MODEL_FIELDS = tuple(f.name for f in fields(VideoGraphConfig))
+# model fields that only shape initialisation, so a resumed run may change them
+INIT_ONLY_FIELDS = ("seed", "init_strategy")
 
 
 @dataclass
@@ -57,12 +59,7 @@ class RunConfig:
     seed: int = 0
 
     def model_config(self) -> VideoGraphConfig:
-        return VideoGraphConfig(T=self.T, N=self.N, H=self.H, W=self.W, C=self.C,
-                                num_classes=self.num_classes, t=self.t, n=self.n,
-                                num_embedding_layers=self.num_embedding_layers,
-                                classifier_hidden=self.classifier_hidden,
-                                label_mode=self.label_mode, sigma_kind=self.sigma_kind,
-                                init_strategy=self.init_strategy, seed=self.seed)
+        return VideoGraphConfig(**{name: getattr(self, name) for name in MODEL_FIELDS})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -74,10 +71,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown run config keys: {sorted(unknown)}")
         return cls(**known)
-
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 @dataclass
@@ -224,7 +217,9 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset | None
 
     When out_dir is given, writes a final checkpoint and metrics.csv there.
     Passing model/optimizer/start_epoch resumes a checkpointed run; epoch
-    numbering and shuffling then continue the original stream.
+    numbering and shuffling then continue the original stream. The model's
+    config must match the run config in every model field but the
+    initialisation-only ones (INIT_ONLY_FIELDS).
     """
     if len(train_dataset) == 0:
         raise ValueError("training dataset is empty")
@@ -237,6 +232,12 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset | None
     if start_epoch >= config.epochs:
         raise ValueError(f"nothing to train: resumed at epoch {start_epoch} with "
                          f"config.epochs={config.epochs}")
+    if model is not None:
+        for name in MODEL_FIELDS:
+            have, want = getattr(model.config, name), getattr(config, name)
+            if name not in INIT_ONLY_FIELDS and have != want:
+                raise ValueError(f"model config key {name!r} is {have!r} but the run config "
+                                 f"has {want!r}")
     if val_dataset is None:
         train_dataset, val_dataset = train_dataset.split(val_fraction=0.2, seed=config.seed)
 

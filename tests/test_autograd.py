@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from videograph import gradsuite
 from videograph import tensor as tz
@@ -12,7 +13,7 @@ from videograph.gradsuite import (DESK_MODEL_CONFIG, MICRO_MODEL_CONFIG, OP_CHEC
                                   StagedEvalLoss, run_gradient_suite, stage_groups)
 from videograph.model import VideoGraphConfig, VideoGraphModel, desk_config
 from videograph.optim import SgdMomentum
-from videograph.tensor import Tape, Tensor, grad_check
+from videograph.tensor import ShapeError, Tape, Tensor, grad_check
 
 
 class TestClosedFormGradients:
@@ -150,6 +151,56 @@ class TestGradientSuite:
     def test_suite_runner_passes(self):
         results = run_gradient_suite(seed=5, num_seeds=2, include_desk_model=False)
         assert all(r.passed for r in results)
+
+
+class TestTapeGradients:
+    def test_unreached_tensor_gets_zeros_and_grads_are_cleared(self):
+        a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        unused = Tensor(np.ones((2, 2)), requires_grad=True)
+        a.grad = np.full(3, 7.0)      # a stale gradient is cleared, not accumulated
+        grads = tz.tape_gradients(lambda: tz.mean(tz.mul(a, a), axes=0), [a, unused])
+        np.testing.assert_allclose(grads[0], 2.0 * a.data / 3.0, rtol=1e-15)
+        np.testing.assert_array_equal(grads[1], np.zeros((2, 2)))
+        assert a.grad is None and unused.grad is None
+
+    def test_non_scalar_function_rejected_and_grads_cleared(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        a.grad = np.ones(3)
+        with pytest.raises(ShapeError, match="scalar"):
+            tz.tape_gradients(lambda: tz.mul(a, a), [a])
+        assert a.grad is None
+
+
+def loop_min_pool_gap(arr, axes, kernel=3):
+    """(max - runner-up) of each window in turn, over the windows whose max is positive."""
+    counts = tuple(n // kernel if i in axes else n for i, n in enumerate(arr.shape))
+    smallest = np.inf
+    for idx in np.ndindex(counts):
+        window = arr[tuple(slice(kernel * j, kernel * j + kernel) if i in axes else slice(j, j + 1)
+                           for i, j in enumerate(idx))]
+        top = np.sort(window.reshape(-1))
+        if top[-1] > 0:
+            smallest = min(smallest, top[-1] - top[-2])
+    return smallest
+
+
+class TestMinPoolGap:
+    @given(st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_window_loop(self, num_axes, seed):
+        # pooled lengths 3-8, so most leave a ragged tail; relu zeros empty some windows
+        rng = np.random.default_rng(seed)
+        ndim = int(rng.integers(max(num_axes, 2), 5))
+        axes = tuple(int(a) for a in sorted(rng.choice(ndim, size=num_axes, replace=False)))
+        shape = [int(rng.integers(3, 9)) if i in axes else int(rng.integers(1, 4)) for i in range(ndim)]
+        arr = np.maximum(rng.normal(size=shape), 0.0)
+        assert gradsuite._min_pool_gap(arr, axes) == loop_min_pool_gap(arr, axes)
+
+    def test_no_positive_window_gives_inf(self):
+        arr = -np.abs(np.random.default_rng(0).normal(size=(7, 5, 2)))
+        arr[0, 0, 0] = 0.0
+        assert gradsuite._min_pool_gap(arr, (0, 1)) == np.inf
+        assert loop_min_pool_gap(arr, (0, 1)) == np.inf
 
 
 class TestGradCheckRestore:

@@ -183,6 +183,21 @@ class TestTrainEvalReport:
         assert "resuming" in out
         assert "finished epoch 10" in out
 
+    def test_resume_with_mismatched_model_exits_one(self, workspace, capsys, tmp_path):
+        cfg = tmp_path / "resume.json"
+        cfg.write_text(json.dumps({
+            "T": 16, "N": 8, "H": 1, "W": 1, "C": 16, "num_classes": 2, "t": 5,
+            "num_embedding_layers": 1, "classifier_hidden": 32,
+            "epochs": 10, "batch_size": 4, "seed": 1,
+        }))
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg),
+                               "--data", str(workspace / "data"),
+                               "--checkpoint", str(workspace / "run" / "checkpoint"),
+                               "--out", str(tmp_path / "resumed"))
+        assert code == 1
+        assert "'t'" in err
+        assert not (tmp_path / "resumed").exists()
+
     def test_extract_graph_outputs(self, workspace, capsys):
         code, out, _ = run_cli(capsys, "extract-graph",
                                "--checkpoint", str(workspace / "run" / "checkpoint"),

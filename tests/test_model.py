@@ -95,7 +95,7 @@ class TestGraphEmbedding:
         # eval-mode identity: mean 0, var 1, gamma absorbing the epsilon
         params.bn.running_mean = np.zeros(c)
         params.bn.running_var = np.ones(c)
-        params.bn.gamma = Tensor(np.full(c, np.sqrt(1.0 + params.bn.eps)), requires_grad=True)
+        params.bn.gamma = Tensor(np.full(c, np.sqrt(1.0 + tz.BN_EPS)), requires_grad=True)
         params.bn.initialized = True
 
         out = graph_embedding_forward(Tensor(z), params, mode="eval")

@@ -359,18 +359,18 @@ class TestSoftmax:
 
 def batch_norm_reference(x2, state, mode, g2):
     """The out-of-place np.mean formulation of batch_norm: output, stats and gradients."""
-    gamma, beta, m = state.gamma.data, state.beta.data, state.momentum
+    gamma, beta, m = state.gamma.data, state.beta.data, tz.BN_MOMENTUM
     running_mean, running_var = state.running_mean, state.running_var
     if mode == "train":
         mu = x2.mean(axis=0)
         centered = x2 - mu
         var = (centered * centered).mean(axis=0)
-        inv = 1.0 / np.sqrt(var + state.eps)
+        inv = 1.0 / np.sqrt(var + tz.BN_EPS)
         xhat = centered * inv
         running_mean = m * running_mean + (1.0 - m) * mu
         running_var = m * running_var + (1.0 - m) * var
     else:
-        inv = 1.0 / np.sqrt(running_var + state.eps)
+        inv = 1.0 / np.sqrt(running_var + tz.BN_EPS)
         xhat = (x2 - running_mean) * inv
     g_gamma, g_beta = (g2 * xhat).sum(axis=0), g2.sum(axis=0)
     if mode == "train":
@@ -410,7 +410,7 @@ class TestBatchNorm:
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         state = BatchNormState(2)
         out = tz.batch_norm(Tensor(x), 1, state, "train")
-        np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + state.eps), rtol=1e-6)
+        np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + tz.BN_EPS), rtol=1e-6)
 
     def test_affine_only(self):
         state = BatchNormState(2)
@@ -452,7 +452,7 @@ class TestBatchNorm:
         with tz.Tape() as tape:
             out = tz.batch_norm(x, -1, state, mode)
         got = (out.data,) + tape.ops[-1].backward_fn(g)
-        ref = multi_axis_batch_norm(*ref_inputs, state.eps, mode, g)
+        ref = multi_axis_batch_norm(*ref_inputs, tz.BN_EPS, mode, g)
         for a, b in zip(got, ref):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)

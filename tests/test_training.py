@@ -1,5 +1,10 @@
 """Metrics, evaluation, checkpoints, and the training loop."""
 
+import json
+import re
+import zlib
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +13,7 @@ from videograph import tensor as tz
 from videograph.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from videograph.datasets import Dataset, dataset_from_generated, load_manifest, write_manifest
 from videograph.metrics import mean_average_precision
-from videograph.model import eval_chunks
+from videograph.model import VideoGraphConfig, eval_chunks
 from videograph.synthetic import DatasetConfig, generate_samples
 from videograph.tensor import Tensor
 from videograph.training import MetricLog, RunConfig, build_model, evaluate, train
@@ -201,6 +206,44 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=name.replace(".", "\\.")):
             load_checkpoint(ckpt)
 
+    @staticmethod
+    def _rewrite_record(ckpt, group, name, shape):
+        """Cut one record to its first values of `shape` (None drops it); offsets and crc redone."""
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        payload = (ckpt / "weights.bin").read_bytes()
+        chunks, offset = [], 0
+        for g in ("params", "velocities", "buffers"):
+            kept = []
+            for rec in manifest[g]:
+                blob = payload[rec["offset"]:rec["offset"] + 4 * int(np.prod(rec["shape"]))]
+                if (g, rec["name"]) == (group, name):
+                    if shape is None:
+                        continue
+                    rec["shape"], blob = list(shape), blob[:4 * int(np.prod(shape))]
+                rec["offset"] = offset
+                offset += len(blob)
+                chunks.append(blob)
+                kept.append(rec)
+            manifest[g] = kept
+        payload = b"".join(chunks)
+        manifest["crc32"] = zlib.crc32(payload) & 0xFFFFFFFF
+        (ckpt / "weights.bin").write_bytes(payload)
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("group, name, shape", [
+        ("params", "classifier.fc2.bias", None),
+        ("velocities", "classifier.fc2.bias", None),
+        ("velocities", "classifier.fc2.bias", (1,)),
+        ("buffers", "embed0.bn.running_mean", None),
+        ("buffers", "classifier.bn.running_var", (1,)),
+    ])
+    def test_every_record_group_checked(self, tmp_path, group, name, shape):
+        self._trained(tmp_path)
+        ckpt = tmp_path / "run" / "checkpoint"
+        self._rewrite_record(ckpt, group, name, shape)
+        with pytest.raises(CheckpointError, match=rf"^{group}\b.*{re.escape(name)}"):
+            load_checkpoint(ckpt)
+
     def test_resume_matches_uninterrupted_loss(self, tmp_path):
         ds, _ = tiny_dataset(seed=4)
         full_cfg = RunConfig(num_classes=2, epochs=3, seed=4)
@@ -249,6 +292,22 @@ class TestTrainingLoop:
         train(cfg, ds, val_dataset=ds, model=model)
         after = {n: p.data.tobytes() for n, p in model.named_parameters().items()}
         assert before == after
+
+    def test_resume_rejects_model_of_another_config(self, tmp_path):
+        ds, _ = tiny_dataset(seed=8)
+        cfg = RunConfig(num_classes=2, epochs=1, seed=8)
+        model = build_model(replace(cfg, t=5), ds)
+        before = {n: p.data.tobytes() for n, p in model.named_parameters().items()}
+        with pytest.raises(ValueError, match="'t' is 5 but the run config has 7"):
+            train(cfg, ds, val_dataset=ds, out_dir=tmp_path / "run", model=model)
+        assert not (tmp_path / "run").exists()
+        assert before == {n: p.data.tobytes() for n, p in model.named_parameters().items()}
+
+    def test_resume_accepts_another_seed(self):
+        ds, _ = tiny_dataset(seed=8)
+        cfg = RunConfig(num_classes=2, epochs=1, seed=8)
+        _, log = train(cfg, ds, val_dataset=ds, model=build_model(replace(cfg, seed=9), ds))
+        assert log.column("epoch") == [0, 1]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -301,3 +360,14 @@ class TestManifests:
         ds = load_manifest(tmp_path / "val.jsonl", num_label_classes=cfg.num_actions)
         direct = dataset_from_generated(gen)
         np.testing.assert_array_equal(ds.labels, direct.labels)
+
+
+class TestRunConfig:
+    def test_model_config_carries_every_model_field(self):
+        values = {"T": 12, "N": 9, "H": 2, "W": 3, "C": 5, "num_classes": 3, "t": 5, "n": 3,
+                  "num_embedding_layers": 2, "classifier_hidden": 7, "label_mode": "multi",
+                  "sigma_kind": "tanh", "init_strategy": "sobol", "seed": 11}
+        assert set(values) == {f.name for f in fields(VideoGraphConfig)}
+        defaults = RunConfig()
+        assert all(getattr(defaults, name) != value for name, value in values.items())
+        assert RunConfig(**values).model_config() == VideoGraphConfig(**values)
