@@ -10,7 +10,10 @@ For one seed it prints:
     mean-pool baseline under each perturbation, on the `eval_grid` benchmark
     set-up (12 epochs on one grid cell, a checkpoint round-trip, 400 videos
     at H = W = 3);
-  * the `float.hex` of every check's max error in `run_gradient_suite(seed)`.
+  * the `float.hex` of every check's max error in `run_gradient_suite(seed)`;
+  * the `repr` of `shape_inference(full_scale_config())`;
+  * a SHA-256 of the manifests and payloads of the two checkpoints the eval
+    set-up saves (graph model, then baseline).
 
 Two checkouts that print the same lines compute the same bits on these
 paths. Run it on both sides of a change that must not move any result and
@@ -26,7 +29,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from videograph import checkpoint, datasets, gradsuite, synthetic, training
+from videograph import checkpoint, datasets, gradsuite, model, synthetic, training
 from videograph.optim import SgdMomentum
 
 TRAJECTORY_EPOCHS = 3
@@ -59,13 +62,14 @@ def one_cell(dataset: datasets.Dataset) -> datasets.Dataset:
                             dataset.label_mode)
 
 
-def eval_fingerprints(seed: int, work: Path) -> dict[str, str]:
+def eval_fingerprints(seed: int, work: Path) -> tuple[dict[str, str], str]:
+    """Eval score hashes per model and perturbation, and the checkpoints' hash."""
     train_ds, val_ds = load_data(seed, 3, 3, 25, 100, work / "grid")
     config = training.RunConfig(H=3, W=3, seed=seed, epochs=EVAL_SETUP_EPOCHS)
     cell_config = replace(config, H=1, W=1)
     cell_train = one_cell(train_ds)
     cell_monitor = one_cell(val_ds.subset(range(0, len(val_ds), 20)))
-    hashes = {}
+    hashes, saved = {}, b""
     for kind in ("graph", "baseline"):
         fitted = training.build_model(cell_config, cell_train, baseline=kind == "baseline")
         optimizer = SgdMomentum(fitted.named_parameters(), learning_rate=cell_config.learning_rate,
@@ -73,11 +77,13 @@ def eval_fingerprints(seed: int, work: Path) -> dict[str, str]:
         training.train(cell_config, cell_train, cell_monitor, model=fitted, optimizer=optimizer)
         path = checkpoint.save_checkpoint(fitted, optimizer, cell_config.epochs, work / kind,
                                           config_snapshot=config.to_dict())
-        model = checkpoint.load_checkpoint(path).model
+        for name in (checkpoint.MANIFEST_NAME, checkpoint.WEIGHTS_NAME):
+            saved += (path / name).read_bytes()
+        loaded = checkpoint.load_checkpoint(path).model
         for mode in synthetic.PERTURBATION_MODES:
-            scores = training.evaluate(model, val_ds, perturbation=mode, seed=seed).scores
+            scores = training.evaluate(loaded, val_ds, perturbation=mode, seed=seed).scores
             hashes[f"{kind}/{mode}"] = sha256(scores.tobytes())
-    return hashes
+    return hashes, sha256(saved)
 
 
 def main():
@@ -88,10 +94,13 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         print(f"train loss_trajectory_sha256 {train_fingerprint(args.seed, work)}")
-        for name, digest in eval_fingerprints(args.seed, work).items():
+        eval_hashes, checkpoint_hash = eval_fingerprints(args.seed, work)
+        for name, digest in eval_hashes.items():
             print(f"eval {name} {digest}")
+        print(f"checkpoint_sha256 {checkpoint_hash}")
     for result in gradsuite.run_gradient_suite(seed=args.seed):
         print(f"gradsuite {result.name} {result.max_error.hex()}")
+    print(f"full_scale_shapes {model.shape_inference(model.full_scale_config())!r}")
 
 
 if __name__ == "__main__":

@@ -11,16 +11,15 @@ take a leading batch axis; a single video is a batch of one.
 
 from .tensor import Tensor, Tape, ShapeError, grad_check
 from .model import (VideoGraphConfig, VideoGraphModel, MeanPoolBaseline,
-                    desk_config, full_scale_config, shape_inference,
-                    init_latent_nodes, node_attention_forward,
-                    graph_embedding_forward)
+                    full_scale_config, shape_inference, init_latent_nodes,
+                    node_attention_forward, graph_embedding_forward)
 from .training import RunConfig, MetricLog, train, evaluate
 from .metrics import mean_average_precision, accuracy
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "grad_check",
     "VideoGraphConfig", "VideoGraphModel", "MeanPoolBaseline",
-    "desk_config", "full_scale_config", "shape_inference", "init_latent_nodes",
+    "full_scale_config", "shape_inference", "init_latent_nodes",
     "node_attention_forward", "graph_embedding_forward",
     "RunConfig", "MetricLog", "train", "evaluate",
     "mean_average_precision", "accuracy",

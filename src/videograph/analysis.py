@@ -14,6 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as tz
+from .model import VideoGraphModel, eval_chunks, model_type_name
+from .tensor import Tensor
+
 NODE_SIZE_RANGE = (0.2, 2.0)
 
 
@@ -88,10 +92,8 @@ def collect_activation_stacks(model, dataset) -> dict[int, ActivationStack]:
     each video contributes a (T', N', C) slice to its class's stack. Videos
     run in the chunks `evaluate` uses.
     """
-    from . import tensor as tz
-    from .model import eval_chunks
-    from .tensor import Tensor
-
+    if not isinstance(model, VideoGraphModel):
+        raise ValueError(f"activity graphs need a videograph model; got {model_type_name(model)}")
     if dataset.label_mode != "single":
         raise ValueError("activity graphs are extracted per class; needs a single-label dataset")
     per_class: dict[int, list[np.ndarray]] = {}

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MODEL_TYPES, VideoGraphConfig, model_type_name
+from .model import MODEL_FIELDS, MODEL_TYPES, VideoGraphConfig, model_type_name
 from .optim import SgdMomentum
 
 FORMAT_VERSION = 1
@@ -138,11 +138,13 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     if model_type not in MODEL_TYPES:
         raise CheckpointError(f"unknown model type {model_type!r}")
     snapshot = manifest["config"]
-    config_fields = {f: snapshot[f] for f in VideoGraphConfig.__dataclass_fields__ if f in snapshot}
-    config = VideoGraphConfig(**config_fields)
+    missing = [name for name in MODEL_FIELDS if name not in snapshot]
+    if missing:
+        raise CheckpointError(f"config snapshot lacks model key(s) {missing}")
+    config = VideoGraphConfig(**{name: snapshot[name] for name in MODEL_FIELDS})
+    config.validate()
     # parameters are overwritten below, so build with a data-free init strategy
-    build_config = replace(config, init_strategy="random")
-    model = MODEL_TYPES[model_type](build_config)
+    model = MODEL_TYPES[model_type](replace(config, init_strategy="random"))
     model.config = config
 
     params = model.named_parameters()

@@ -85,7 +85,7 @@ def _load_eval_inputs(parser, args):
     ckpt_dir = _require(parser, args, "--checkpoint")
     data = _require(parser, args, "--data")
     loaded = load_checkpoint(ckpt_dir)
-    k = loaded.config.get("num_classes", loaded.model.config.num_classes)
+    k = loaded.model.config.num_classes
     dataset = load_manifest(_resolve_manifest(data), num_label_classes=k)
     return loaded, dataset
 
@@ -179,8 +179,8 @@ def cmd_extract_graph(parser, args) -> int:
     loaded, dataset = _load_eval_inputs(parser, args)
     out = Path(_require(parser, args, "--out"))
     seed = args.seed if args.seed is not None else 0
-    out.mkdir(parents=True, exist_ok=True)
     stacks = collect_activation_stacks(loaded.model, dataset)
+    out.mkdir(parents=True, exist_ok=True)
     for class_id, stack in stacks.items():
         graph = extract_activity_graph(stack, class_id=class_id)
         graph.positions = force_layout(graph, seed=seed)

@@ -27,9 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tz
-from .model import (POOL_KERNEL, GraphEmbeddingParams, NodeAttentionParams,
-                    VideoGraphConfig, VideoGraphModel, desk_config, graph_embedding_forward,
-                    node_attention_forward)
+from .model import (GraphEmbeddingParams, NodeAttentionParams, VideoGraphConfig,
+                    VideoGraphModel, graph_embedding_forward, node_attention_forward)
 from .tensor import BatchNormState, Tensor, grad_check
 
 GRAD_CHECK_THRESHOLD = 1e-4
@@ -73,7 +72,7 @@ def _min_pool_gap(arr: np.ndarray, axes: tuple) -> float:
 
     All-zero windows are fine: relu already blocks gradient flow there.
     """
-    rows = tz.pool_windows(arr, axes, POOL_KERNEL).flat()
+    rows = tz.pool_windows(arr, axes).flat()
     top2 = np.sort(rows.reshape(-1, rows.shape[-1]), axis=1)[:, -2:]
     gaps = top2[:, 1] - top2[:, 0]
     live = top2[:, 1] > 0
@@ -168,7 +167,7 @@ def check_batch_norm_train(rng):
     state.gamma = Tensor(rng.normal(size=channels) + 1.5, requires_grad=True)
     state.beta = Tensor(rng.normal(size=channels), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2, channels)))
-    return grad_check(lambda: _sum_all(tz.mul(tz.batch_norm(x, 2, state, "train"), w)),
+    return grad_check(lambda: _sum_all(tz.mul(tz.batch_norm(x, state, mode="train"), w)),
                       [x, state.gamma, state.beta])
 
 
@@ -179,7 +178,7 @@ def check_batch_norm_eval(rng):
     state.running_mean = rng.normal(size=channels)
     state.running_var = rng.uniform(0.5, 2.0, size=channels)
     state.initialized = True
-    return grad_check(lambda: _sum_all(tz.batch_norm(x, 1, state, "eval")),
+    return grad_check(lambda: _sum_all(tz.batch_norm(x, state, mode="eval")),
                       [x, state.gamma, state.beta])
 
 
@@ -356,7 +355,7 @@ def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
 
 MICRO_MODEL_CONFIG = VideoGraphConfig(T=6, N=4, H=1, W=1, C=5, num_classes=3, t=3, n=3,
                                       num_embedding_layers=1, classifier_hidden=6)
-DESK_MODEL_CONFIG = replace(desk_config(num_classes=4), classifier_hidden=16)
+DESK_MODEL_CONFIG = VideoGraphConfig(classifier_hidden=16)
 
 
 # batch of 2: classifier batch norm over a single sample has zero variance,

@@ -15,16 +15,15 @@ videos (B, T, H, W, C), and a single video is a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import typing
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from . import tensor as tz
 from .kmeans import kmeans
 from .sobol import SobolSequence
-from .tensor import BatchNormState, ShapeError, Tensor
-
-POOL_KERNEL = 3
+from .tensor import POOL_KERNEL, BatchNormState, ShapeError, Tensor
 
 # Feature values per eval-mode forward call when scoring many videos: 32 desk
 # videos (16 x 16 values each), or 3 at H = W = 3. Sized by values, not
@@ -38,22 +37,41 @@ LABEL_MODES = ("single", "multi")
 
 @dataclass
 class VideoGraphConfig:
-    T: int
-    N: int
-    H: int
-    W: int
-    C: int
-    num_classes: int
+    """Model dimensions and wiring; the defaults are the desk preset.
+
+    The desk preset trains in seconds on a laptop core. N=8 only survives
+    one round of /3 pooling, so it uses a single graph embedding layer.
+    """
+
+    T: int = 16
+    N: int = 8
+    H: int = 1
+    W: int = 1
+    C: int = 16
+    num_classes: int = 4
     t: int = 7
     n: int = 7
-    num_embedding_layers: int = 2
-    classifier_hidden: int = 512
+    num_embedding_layers: int = 1
+    classifier_hidden: int = 64
     label_mode: str = "single"
     sigma_kind: str = "sigmoid"
     init_strategy: str = "random"
     seed: int = 0
 
+    def check_types(self) -> None:
+        """Raise ValueError naming the first field whose value is not of its type.
+
+        A bool is not an int; an int is a float.
+        """
+        for name, want in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            allowed = (int, float) if want is float else want
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"config key {name!r} must be "
+                                 f"{getattr(want, '__name__', want)}; got {value!r}")
+
     def validate(self) -> None:
+        self.check_types()
         for name in ("T", "N", "H", "W", "C", "num_classes", "classifier_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be positive")
@@ -72,6 +90,9 @@ class VideoGraphConfig:
         return asdict(self)
 
 
+MODEL_FIELDS = tuple(f.name for f in fields(VideoGraphConfig))
+
+
 def eval_chunks(features) -> list[slice]:
     """Slices of a list of same-shaped videos, one eval-mode forward call each.
 
@@ -84,17 +105,7 @@ def eval_chunks(features) -> list[slice]:
 def full_scale_config(num_classes: int = 12) -> VideoGraphConfig:
     """Full-scale configuration (for shape inference; do not allocate)."""
     return VideoGraphConfig(T=64, N=128, H=7, W=7, C=1024, num_classes=num_classes,
-                            classifier_hidden=512)
-
-
-def desk_config(num_classes: int = 4, seed: int = 0) -> VideoGraphConfig:
-    """Small configuration that trains in seconds on a laptop core.
-
-    N=8 only survives one round of /3 pooling, so the desk preset uses a
-    single graph embedding layer.
-    """
-    return VideoGraphConfig(T=16, N=8, H=1, W=1, C=16, num_classes=num_classes,
-                            num_embedding_layers=1, classifier_hidden=64, seed=seed)
+                            num_embedding_layers=2, classifier_hidden=512)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +238,7 @@ class ClassifierHead:
 
     def forward(self, x: Tensor, mode: str, label_mode: str, capture: dict | None = None) -> Tensor:
         h = tz.matmul(x, self.fc1_weight, independent_rows=True)
-        h = tz.batch_norm(h, 1, self.bn, mode)
+        h = tz.batch_norm(h, self.bn, mode=mode)
         if capture is not None:
             capture["classifier.pre_relu"] = h
         h = tz.relu(h)
@@ -303,11 +314,11 @@ def graph_embedding_forward(h: Tensor, params: GraphEmbeddingParams, mode: str,
     flat = tz.reshape(h, (-1, channels))
     flat = tz.add(tz.matmul(flat, params.channel_mixer), params.channel_bias)
     h = tz.reshape(flat, shape)
-    h = tz.batch_norm(h, h.ndim - 1, params.bn, mode)
+    h = tz.batch_norm(h, params.bn, mode=mode)
     if capture is not None:
         capture[f"{tag}pre_relu"] = h
         capture[f"{tag}pre_pool"] = (Tensor(np.maximum(h.data, 0.0)), (1, 2))
-    return tz.relu(tz.max_pool(h, (1, 2), kernel=POOL_KERNEL))
+    return tz.relu(tz.max_pool(h, (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +327,7 @@ def graph_embedding_forward(h: Tensor, params: GraphEmbeddingParams, mode: str,
 
 class VideoGraphModel:
     def __init__(self, config: VideoGraphConfig, feature_sample: np.ndarray | None = None):
-        config.validate()
-        stages = shape_inference(config)
+        stages = shape_inference(config)   # validates the config first
         self.config = config
         self.classifier_input_dim = next(v for k, v in stages if k == "classifier_input")
 

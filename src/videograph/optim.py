@@ -14,8 +14,8 @@ from .tensor import Tensor
 
 
 class SgdMomentum:
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 0.1,
-                 momentum: float = 0.9, weight_decay: float = 1e-5):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float, momentum: float,
+                 weight_decay: float):
         if learning_rate < 0:
             raise ValueError(f"learning_rate must be non-negative, got {learning_rate}")
         if not 0.0 <= momentum < 1.0:

@@ -431,6 +431,9 @@ def depthwise_conv1d(x: Tensor, axis: int, kernels: Tensor) -> Tensor:
 # Max pooling (non-overlapping windows, kernel == stride)
 
 
+POOL_KERNEL = 3
+
+
 class PoolWindows(NamedTuple):
     """The layout of an array's non-overlapping pooling windows (see `pool_windows`)."""
 
@@ -454,8 +457,8 @@ class PoolWindows(NamedTuple):
         return np.moveaxis(moved, range(-len(kernel_axes), 0), self.window_axes)
 
 
-def pool_windows(x: np.ndarray, axes, kernel: int) -> PoolWindows:
-    """The `kernel`-wide windows along each axis in axes that `max_pool` reduces."""
+def pool_windows(x: np.ndarray, axes) -> PoolWindows:
+    """The POOL_KERNEL-wide windows along each axis in axes that `max_pool` reduces."""
     axes = sorted(ax % x.ndim for ax in (axes if isinstance(axes, (tuple, list)) else (axes,)))
     if len(set(axes)) != len(axes):
         raise ShapeError(f"duplicate pooled axes {axes}")
@@ -464,26 +467,26 @@ def pool_windows(x: np.ndarray, axes, kernel: int) -> PoolWindows:
         if i not in axes:
             trim.append(slice(None))
             windowed_shape.append(length)
-        elif length < kernel:
-            raise ShapeError(f"axis {i} has length {length} < pooling kernel {kernel}")
+        elif length < POOL_KERNEL:
+            raise ShapeError(f"axis {i} has length {length} < pooling kernel {POOL_KERNEL}")
         else:
-            trim.append(slice(0, (length // kernel) * kernel))
-            windowed_shape.extend([length // kernel, kernel])
+            trim.append(slice(0, (length // POOL_KERNEL) * POOL_KERNEL))
+            windowed_shape.extend([length // POOL_KERNEL, POOL_KERNEL])
     trim = tuple(trim)
     # each window axis sits right after its outer axis
     window_axes = tuple(ax + 1 + rank for rank, ax in enumerate(axes))
     return PoolWindows(trim, x[trim].reshape(windowed_shape), window_axes)
 
 
-def max_pool(x: Tensor, axes, kernel: int = 3) -> Tensor:
-    """Non-overlapping max over `kernel`-wide windows along each axis in axes.
+def max_pool(x: Tensor, axes) -> Tensor:
+    """Non-overlapping max over POOL_KERNEL-wide windows along each axis in axes.
 
-    Pooled axis lengths become floor(L / kernel); tail elements beyond the
+    Pooled axis lengths become floor(L / POOL_KERNEL); tail elements beyond the
     last full window are dropped. Gradient routes to the window argmax, ties
     broken to the lowest row-major index.
     """
     x = as_tensor(x)
-    windows = pool_windows(x.data, axes, kernel)
+    windows = pool_windows(x.data, axes)
     out = _op_output(windows.windowed.max(axis=windows.window_axes))
 
     def backward(g):
@@ -522,18 +525,14 @@ class BatchNormState:
         return self.gamma.size
 
 
-def batch_norm(x: Tensor, channel_axis: int, state: BatchNormState, mode: str) -> Tensor:
-    """Normalize per channel over all other axes; affine gamma/beta last.
+def batch_norm(x: Tensor, state: BatchNormState, *, mode: str) -> Tensor:
+    """Normalize per channel (the last axis) over all other axes; affine gamma/beta last.
 
-    The channel axis must be the last one: the op works on the (rows, C)
-    view of x and reduces along its rows. Train mode uses batch statistics
-    and blends them into the running stats; eval mode uses running stats and
-    errors if none were ever recorded.
+    The op works on the (rows, C) view of x and reduces along its rows.
+    Train mode uses batch statistics and blends them into the running stats;
+    eval mode uses running stats and errors if none were ever recorded.
     """
     x = as_tensor(x)
-    if channel_axis % x.ndim != x.ndim - 1:
-        raise ShapeError(f"batch_norm normalises the last axis only; got channel_axis {channel_axis} "
-                         f"of a {x.ndim}-d input")
     channels = x.shape[-1]
     if channels != state.channels:
         raise ShapeError(f"batch_norm state has {state.channels} channels, input axis has {channels}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,33 +20,20 @@ from .analysis import track_node_distances
 from .checkpoint import save_checkpoint
 from .datasets import Dataset
 from .metrics import accuracy, mean_average_precision
-from .model import MeanPoolBaseline, VideoGraphConfig, VideoGraphModel, eval_chunks
+from .model import MODEL_FIELDS, MeanPoolBaseline, VideoGraphConfig, VideoGraphModel, eval_chunks
 from .optim import SgdMomentum
 from .synthetic import perturbation_indices
 from .tensor import Tape, Tensor
 
 METRIC_HEADER = ("epoch", "train_loss", "train_acc", "val_metric", "mean_node_distance")
-MODEL_FIELDS = tuple(f.name for f in fields(VideoGraphConfig))
 # model fields that only shape initialisation, so a resumed run may change them
 INIT_ONLY_FIELDS = ("seed", "init_strategy")
 
 
 @dataclass
-class RunConfig:
-    # model dimensions and wiring
-    T: int = 16
-    N: int = 8
-    H: int = 1
-    W: int = 1
-    C: int = 16
-    num_classes: int = 4
-    t: int = 7
-    n: int = 7
-    num_embedding_layers: int = 1
-    classifier_hidden: int = 64
-    label_mode: str = "single"
-    sigma_kind: str = "sigmoid"
-    init_strategy: str = "random"
+class RunConfig(VideoGraphConfig):
+    """A model config plus the optimisation and data settings of one run."""
+
     # optimization
     epochs: int = 200
     batch_size: int = 8
@@ -56,21 +43,18 @@ class RunConfig:
     # data
     train_manifest: str | None = None
     val_manifest: str | None = None
-    seed: int = 0
 
     def model_config(self) -> VideoGraphConfig:
         return VideoGraphConfig(**{name: getattr(self, name) for name in MODEL_FIELDS})
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
-        unknown = set(data) - set(known)
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown run config keys: {sorted(unknown)}")
-        return cls(**known)
+        config = cls(**data)
+        config.check_types()
+        return config
 
 
 @dataclass

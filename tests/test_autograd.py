@@ -11,7 +11,7 @@ from videograph import gradsuite
 from videograph import tensor as tz
 from videograph.gradsuite import (DESK_MODEL_CONFIG, MICRO_MODEL_CONFIG, OP_CHECKS,
                                   StagedEvalLoss, run_gradient_suite, stage_groups)
-from videograph.model import VideoGraphConfig, VideoGraphModel, desk_config
+from videograph.model import VideoGraphConfig, VideoGraphModel
 from videograph.optim import SgdMomentum
 from videograph.tensor import ShapeError, Tape, Tensor, grad_check
 
@@ -123,7 +123,7 @@ class TestLeafOnlyGradients:
         targets = np.array([1, 3])
         grads = []
         for tape_cls in (Tape, KeepIntermediatesTape):
-            model = VideoGraphModel(desk_config(num_classes=4, seed=5))
+            model = VideoGraphModel(VideoGraphConfig(num_classes=4, seed=5))
             with tape_cls() as tape:
                 loss = tz.loss(model.forward_batch(Tensor(x), mode="train"), targets, "single_label_ce")
                 tape.backward(loss)
@@ -393,6 +393,6 @@ class TestSgd:
 
     def test_missing_grad_rejected(self):
         p = Tensor(np.zeros(2), requires_grad=True)
-        opt = SgdMomentum({"p": p})
+        opt = SgdMomentum({"p": p}, learning_rate=0.1, momentum=0.9, weight_decay=1e-5)
         with pytest.raises(RuntimeError, match="no gradient"):
             opt.step()

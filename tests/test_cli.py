@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, idempotent outputs."""
 
 import json
+import shutil
 
 import pytest
 
 from videograph.cli import main
+from videograph.datasets import load_manifest
+from videograph.model import MODEL_FIELDS
+from videograph.training import RunConfig, train
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +93,18 @@ class TestValidationErrors:
             assert code == 1
             assert "unknown run config keys" in err
             assert repr(key) in err
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("shapes", {"N": 8.5}, "N"), ("shapes", {"T": "16"}, "T"),
+        ("train", {"batch_size": 2.5}, "batch_size")])
+    def test_wrong_config_type_exits_one(self, capsys, tmp_path, command, config, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), "--data", str(tmp_path),
+                               "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert f"config key {key!r}" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestShapes:
@@ -219,6 +235,29 @@ class TestTrainEvalReport:
         for name in ("class_0.dot", "class_0.json", "class_1.dot", "class_1.json"):
             assert (workspace / "graphs_a" / name).read_bytes() == \
                    (workspace / "graphs_b" / name).read_bytes()
+
+    def test_extract_graph_on_baseline_exits_one(self, workspace, capsys, tmp_path):
+        ds = load_manifest(workspace / "data" / "train.jsonl", num_label_classes=2)
+        train(RunConfig(num_classes=2, epochs=1, seed=1), ds, ds, out_dir=tmp_path / "base",
+              baseline=True)
+        code, _, err = run_cli(capsys, "extract-graph",
+                               "--checkpoint", str(tmp_path / "base" / "checkpoint"),
+                               "--data", str(workspace / "data"), "--out", str(tmp_path / "graphs"))
+        assert code == 1
+        assert "mean_pool" in err
+        assert not (tmp_path / "graphs").exists()
+
+    @pytest.mark.parametrize("key", MODEL_FIELDS)
+    def test_eval_without_model_key_exits_one(self, workspace, capsys, tmp_path, key):
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(workspace / "run" / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["config"][key]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                               "--data", str(workspace / "data"))
+        assert code == 1
+        assert repr([key]) in err
 
     def test_bad_checkpoint_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--checkpoint", str(tmp_path / "nope"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from videograph import tensor as tz
 from videograph.model import (GraphEmbeddingParams, MeanPoolBaseline, NodeAttentionParams,
-                              VideoGraphConfig, VideoGraphModel, desk_config,
+                              VideoGraphConfig, VideoGraphModel,
                               graph_embedding_forward, init_latent_nodes, node_attention_forward,
                               full_scale_config, shape_inference, transformed_nodes)
 from videograph.tensor import ShapeError, Tensor
@@ -130,8 +130,8 @@ class TestGraphEmbedding:
             h = tz.depthwise_conv1d(h, 2, params.node_kernels)
             flat = tz.add(tz.matmul(tz.reshape(h, (-1, c)), params.channel_mixer),
                           params.channel_bias)
-            h = tz.batch_norm(tz.reshape(flat, h.shape), h.ndim - 1, params.bn, mode)
-            return tz.max_pool(tz.relu(h), (1, 2), kernel=3)
+            h = tz.batch_norm(tz.reshape(flat, h.shape), params.bn, mode=mode)
+            return tz.max_pool(tz.relu(h), (1, 2))
 
         c, shape = 3, (2, 7, 6, 1, 2, 3)
         for seed in range(10):
@@ -211,7 +211,7 @@ class TestShapeInference:
             shape_inference(cfg)
 
     def test_forward_matches_inference_stage_by_stage(self):
-        cfg = desk_config()
+        cfg = VideoGraphConfig()
         model = VideoGraphModel(cfg)
         stages = dict(shape_inference(cfg))
         x = Tensor(np.random.default_rng(0).normal(size=(1,) + stages["input"]))
@@ -261,13 +261,13 @@ class TestInitStrategies:
 
 class TestModelDeterminism:
     def test_eval_forward_bitwise_deterministic(self):
-        cfg = desk_config(seed=4)
+        cfg = VideoGraphConfig(seed=4)
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(1, 16, 1, 1, 16)))
         batch = Tensor(rng.normal(size=(4, 16, 1, 1, 16)))
 
         def fresh_scores():
-            model = VideoGraphModel(desk_config(seed=4))
+            model = VideoGraphModel(VideoGraphConfig(seed=4))
             model.forward_batch(batch, mode="train")
             with tz.stop_recording():
                 return model.forward_batch(x, mode="eval").data
@@ -302,7 +302,7 @@ class TestModelDeterminism:
             assert batched.tobytes() == single.tobytes()
 
     def test_desk_forward_is_finite(self):
-        model = VideoGraphModel(desk_config(num_classes=4))
+        model = VideoGraphModel(VideoGraphConfig(num_classes=4))
         x = Tensor(np.random.default_rng(1).normal(size=(2, 16, 1, 1, 16)))
         scores = model.forward_batch(x, mode="train")
         assert scores.shape == (2, 4)
@@ -310,7 +310,7 @@ class TestModelDeterminism:
         np.testing.assert_allclose(scores.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_single_video_forward(self):
-        model = VideoGraphModel(desk_config(num_classes=4))
+        model = VideoGraphModel(VideoGraphConfig(num_classes=4))
         segments = Tensor(np.random.default_rng(2).normal(size=(1, 16, 1, 1, 16)))
         scores = model.forward_batch(segments, mode="train")
         assert scores.shape == (1, 4)
@@ -325,7 +325,7 @@ def _captured_bytes(capture):
 class TestModelSplit:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("config", [
-        desk_config(num_classes=4, seed=7),
+        VideoGraphConfig(num_classes=4, seed=7),
         VideoGraphConfig(T=9, N=9, H=2, W=1, C=3, num_classes=3, t=3, n=3,
                          num_embedding_layers=2, classifier_hidden=5, seed=7)],
         ids=["desk", "two_layers"])

@@ -13,7 +13,8 @@ from videograph import tensor as tz
 from videograph.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from videograph.datasets import Dataset, dataset_from_generated, load_manifest, write_manifest
 from videograph.metrics import mean_average_precision
-from videograph.model import VideoGraphConfig, eval_chunks
+from videograph.model import MODEL_FIELDS, VideoGraphConfig, VideoGraphModel, eval_chunks
+from videograph.optim import SgdMomentum
 from videograph.synthetic import DatasetConfig, generate_samples
 from videograph.tensor import Tensor
 from videograph.training import MetricLog, RunConfig, build_model, evaluate, train
@@ -244,6 +245,35 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=rf"^{group}\b.*{re.escape(name)}"):
             load_checkpoint(ckpt)
 
+    @staticmethod
+    def _saved_with_snapshot(path, edit):
+        """An untrained desk checkpoint whose config snapshot `edit` has modified."""
+        snapshot = RunConfig().to_dict()
+        edit(snapshot)
+        model = VideoGraphModel(VideoGraphConfig())
+        optimizer = SgdMomentum(model.named_parameters(), learning_rate=0.1, momentum=0.9,
+                                weight_decay=1e-5)
+        return save_checkpoint(model, optimizer, 0, path, config_snapshot=snapshot)
+
+    @pytest.mark.parametrize("key", MODEL_FIELDS)
+    def test_missing_model_key_named(self, tmp_path, key):
+        ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: snap.pop(key))
+        with pytest.raises(CheckpointError, match=re.escape(repr([key]))):
+            load_checkpoint(ckpt)
+
+    def test_missing_optimizer_settings_named(self, tmp_path):
+        ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: None)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["optimizer"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(TypeError, match="'learning_rate', 'momentum', and 'weight_decay'"):
+            load_checkpoint(ckpt)
+
+    def test_model_key_of_wrong_type_named(self, tmp_path):
+        ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: snap.update(N=8.0))
+        with pytest.raises(ValueError, match="config key 'N' must be int; got 8.0"):
+            load_checkpoint(ckpt)
+
     def test_resume_matches_uninterrupted_loss(self, tmp_path):
         ds, _ = tiny_dataset(seed=4)
         full_cfg = RunConfig(num_classes=2, epochs=3, seed=4)
@@ -371,3 +401,20 @@ class TestRunConfig:
         defaults = RunConfig()
         assert all(getattr(defaults, name) != value for name, value in values.items())
         assert RunConfig(**values).model_config() == VideoGraphConfig(**values)
+
+    def test_defaults_declared_once(self):
+        assert RunConfig().model_config() == VideoGraphConfig()
+        assert not set(RunConfig.__dict__["__annotations__"]) & set(MODEL_FIELDS)
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("N", 8.5, "int"), ("T", "16", "int"), ("batch_size", 2.5, "int"),
+        ("num_classes", True, "int"), ("learning_rate", "0.1", "float"),
+        ("sigma_kind", 1, "str"), ("train_manifest", 3, "str | None")])
+    def test_wrong_type_names_key(self, key, value, want):
+        with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be {want}; "
+                                                       f"got {value!r}")):
+            RunConfig.from_dict({key: value})
+
+    def test_int_is_a_float(self):
+        cfg = RunConfig.from_dict({"learning_rate": 1, "weight_decay": 0, "val_manifest": None})
+        assert (cfg.learning_rate, cfg.weight_decay, cfg.val_manifest) == (1, 0, None)
