@@ -19,6 +19,9 @@ import numpy as np
 from .features import read_feature_file, write_feature_file
 from .synthetic import GeneratedDataset, multi_label_vector
 
+# share of a dataset `Dataset.split` holds out for validation
+VAL_FRACTION = 0.2
+
 
 @dataclass
 class Dataset:
@@ -40,10 +43,10 @@ class Dataset:
         return Dataset(features=[self.features[i] for i in indices],
                        labels=self.labels[indices], label_mode=self.label_mode)
 
-    def split(self, val_fraction: float, seed: int) -> tuple["Dataset", "Dataset"]:
-        """Deterministic train/val split by seeded shuffle."""
+    def split(self, seed: int) -> tuple["Dataset", "Dataset"]:
+        """Deterministic train/val split by seeded shuffle, VAL_FRACTION held out."""
         order = np.random.default_rng(seed).permutation(len(self))
-        n_val = max(1, int(round(val_fraction * len(self))))
+        n_val = max(1, int(round(VAL_FRACTION * len(self))))
         return self.subset(order[n_val:]), self.subset(order[:n_val])
 
 

@@ -12,17 +12,20 @@ finite differences see pure rounding noise there. The full-model checks
 therefore assert that bias gradient is (numerically) zero in train mode and
 finite-difference it in eval mode, where running statistics make it live.
 
-Each full-model check makes one `grad_check` call over every parameter
-(about 7200 tape-less forwards at desk dims). Its loss, `StagedEvalLoss`,
-reuses the cached attention and embedding outputs while their parameters
-are bitwise unchanged, so a perturbed classifier weight reruns only the
-head. The reuse is exact: eval mode holds no state, and `grad_check`
-restores each perturbed component bit for bit.
+The full-model checks finite-difference every parameter in one `grad_check`
+call (about 7200 tape-less forwards at desk dims), each parameter against
+the loss of its forward stage. `stage_losses` pairs each stage's parameters
+with an eval-mode loss that starts at that stage: the attention parameters
+with the whole forward, the embedding parameters with the embedding layers
+and the head over the attention output, and the classifier parameters with
+the head alone over the classifier input. Those two inputs are computed
+once per check, so a perturbed head weight reruns only the head.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -186,7 +189,7 @@ def check_loss_single(rng):
     batch, k = 4, 5
     logits = Tensor(rng.normal(size=(batch, k)), requires_grad=True)
     targets = rng.integers(0, k, size=batch)
-    return grad_check(lambda: tz.loss(tz.softmax(logits, axis=1), targets, "single_label_ce"),
+    return grad_check(lambda: tz.loss(tz.softmax(logits, axis=1), targets, "single"),
                       [logits])
 
 
@@ -194,7 +197,7 @@ def check_loss_multi(rng):
     batch, k = 3, 4
     logits = Tensor(rng.normal(size=(batch, k)), requires_grad=True)
     targets = rng.integers(0, 2, size=(batch, k))
-    return grad_check(lambda: tz.loss(tz.sigmoid(logits), targets, "multi_label_bce"),
+    return grad_check(lambda: tz.loss(tz.sigmoid(logits), targets, "multi"),
                       [logits])
 
 
@@ -251,55 +254,32 @@ def check_graph_embedding(rng):
     raise RuntimeError("no well-conditioned draw for graph embedding check")
 
 
-def stage_groups(model: VideoGraphModel) -> tuple[list[Tensor], list[Tensor]]:
-    """The parameters of the attention stage and of the graph-embedding stage.
+def stage_losses(model: VideoGraphModel, x: Tensor,
+                 targets: np.ndarray) -> list[tuple[list[Tensor], Callable[[], Tensor]]]:
+    """(parameter group, eval-mode loss) for the attention, embedding and classifier stages.
 
-    Together with the `classifier.*` parameters they partition
-    `model.named_parameters()`.
+    The embedding loss starts from the attention output and the classifier
+    loss from the classifier input, both computed here once. The groups
+    partition `model.named_parameters()` in order, and each loss is bitwise
+    the full eval-mode loss while only its own group changes: eval mode
+    reads the batch-norm running statistics but never writes them.
     """
-    attention = [model.nodes, model.attention.weight, model.attention.bias]
-    embedding = [p for i, emb in enumerate(model.embeddings)
-                 for p in emb.named_parameters(f"embed{i}").values()]
-    return attention, embedding
+    with tz.stop_recording():
+        video = node_attention_forward(x, model.nodes, model.attention)
+        head_input = model.classifier_input(model.embed(video, "eval"))
 
+    def group(*prefixes: str) -> list[Tensor]:
+        return [p for name, p in model.named_parameters().items() if name.startswith(prefixes)]
 
-def _snapshot(tensors: list[Tensor]) -> list[bytes]:
-    return [t.data.tobytes() for t in tensors]
+    def loss(scores: Tensor) -> Tensor:
+        return tz.loss(scores, targets, model.label_mode)
 
-
-class StagedEvalLoss:
-    """Eval-mode loss of a model on fixed videos, restarting at the first changed stage.
-
-    At construction it caches the attention output and the classifier input
-    (the spatial mean and flatten of the embedding output), and snapshots the
-    bytes of the attention and embedding parameter groups. A tape-less call
-    reruns only the stages downstream of the first group whose bytes differ
-    from the snapshot: the whole forward, the embedding layers and the head,
-    or the classifier alone. Under an active tape it always
-    runs the whole `forward_batch`, because the backward needs every op.
-    The result is bitwise that of `forward_batch`: eval mode reads the
-    batch-norm running statistics but never writes them, and the same ops
-    run on the same values in the same order.
-    """
-
-    def __init__(self, model: VideoGraphModel, x: Tensor, targets: np.ndarray):
-        self.model, self.x, self.targets = model, x, targets
-        self.attention_group, self.embedding_group = stage_groups(model)
-        with tz.stop_recording():
-            self.video = node_attention_forward(x, model.nodes, model.attention)
-            self.head_input = model.classifier_input(model.embed(self.video, "eval"))
-        self.attention_bytes = _snapshot(self.attention_group)
-        self.embedding_bytes = _snapshot(self.embedding_group)
-
-    def __call__(self) -> Tensor:
-        model = self.model
-        if tz.active_tape() is not None or _snapshot(self.attention_group) != self.attention_bytes:
-            scores = model.forward_batch(self.x, mode="eval")
-        elif _snapshot(self.embedding_group) != self.embedding_bytes:
-            scores = model.classify(model.embed(self.video, "eval"), "eval")
-        else:
-            scores = model.classifier.forward(self.head_input, "eval", model.label_mode)
-        return tz.loss(scores, self.targets, "single_label_ce")
+    return [
+        (group("nodes", "attention."), lambda: loss(model.forward_batch(x, mode="eval"))),
+        (group("embed"), lambda: loss(model.classify(model.embed(video, "eval"), "eval"))),
+        (group("classifier."),
+         lambda: loss(model.classifier.forward(head_input, "eval", model.label_mode))),
+    ]
 
 
 def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
@@ -307,20 +287,23 @@ def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
 
     One train pass populates the batch-norm running statistics; the check
     then finite-differences the frozen network in one `grad_check` call over
-    every parameter. Its loss is a `StagedEvalLoss`: a perturbed head weight
-    reruns only the head, a perturbed embedding weight the embedding layers
-    and the head, and only attention parameters rerun the whole forward.
-    The reuse is exact because eval mode holds no state and `grad_check`
-    writes each perturbed component back bit for bit, so every cached
-    output is the one a full forward would compute. Train mode is deliberately
-    not finite-differenced end to end: train-mode batch norm cancels
-    per-channel shifts exactly (making bias-like directions mathematically
-    dead, so FD measures pure rounding noise) and constrains its input
-    gradients to sum to zero over the batch, which can push individual true
-    gradients below the FD noise floor. Those train-mode gradients are
-    covered by the per-op and per-block checks; here the train-mode bias
-    gradients are additionally asserted to be (numerically) zero, which is
-    the exact property that makes them un-finite-differentiable.
+    every parameter, each parameter against the loss of its `stage_losses`
+    pair. A perturbed head weight reruns only the head, a perturbed
+    embedding weight the embedding layers and the head, and only attention
+    parameters rerun the whole forward. Each stage's tape gradients come
+    from the same backward ops on the same values as the full forward's, so
+    the errors are bitwise those of checking every parameter against the
+    full forward.
+
+    Train mode is deliberately not finite-differenced end to end: train-mode
+    batch norm cancels per-channel shifts exactly (making bias-like
+    directions mathematically dead, so FD measures pure rounding noise) and
+    constrains its input gradients to sum to zero over the batch, which can
+    push individual true gradients below the FD noise floor. Those
+    train-mode gradients are covered by the per-op and per-block checks;
+    here the train-mode bias gradients are additionally asserted to be
+    (numerically) zero, which is the exact property that makes them
+    un-finite-differentiable.
     """
     for _ in range(MAX_DRAW_ATTEMPTS):
         draw = np.random.default_rng(rng.integers(1 << 62))
@@ -331,7 +314,7 @@ def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
 
         def f(mode="eval", capture=None):
             scores = model.forward_batch(x, mode=mode, capture=capture)
-            return tz.loss(scores, targets, "single_label_ce")
+            return tz.loss(scores, targets, model.label_mode)
 
         eval_capture: dict = {}
         with tz.stop_recording():
@@ -344,7 +327,9 @@ def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
 
         # finite-difference first: the train-mode forwards of the bias
         # assertion below blend the running stats the margins were checked on
-        worst = grad_check(StagedEvalLoss(model, x, targets), list(params.values()))
+        stages = stage_losses(model, x, targets)
+        worst = grad_check([loss for group, loss in stages for _ in group],
+                           [t for group, _ in stages for t in group])
         for name in params:
             if name.endswith("channel_bias"):
                 if _bias_gradient_magnitude(lambda: f("train"), params[name]) > 1e-10:

@@ -83,8 +83,7 @@ def _random_cycle(num_actions: int, rng: np.random.Generator) -> tuple:
     return tuple(succ)
 
 
-def make_class_set(num_classes: int, num_actions: int, regime: str, seed: int,
-                   mixing: float = CYCLE_MIX) -> list[ActivityClass]:
+def make_class_set(num_classes: int, num_actions: int, regime: str, seed: int) -> list[ActivityClass]:
     """Build num_classes activity classes over a vocabulary of num_actions."""
     if num_classes < 2 or num_actions < 2:
         raise ValueError("need num_classes >= 2 and num_actions >= 2")
@@ -106,11 +105,11 @@ def make_class_set(num_classes: int, num_actions: int, regime: str, seed: int,
             if cand not in cycles:
                 cycles.append(cand)
         classes = []
-        uniform = np.full((num_actions, num_actions), mixing / num_actions)
+        uniform = np.full((num_actions, num_actions), CYCLE_MIX / num_actions)
         for cid, succ in enumerate(cycles):
             perm = np.zeros((num_actions, num_actions))
             perm[np.arange(num_actions), list(succ)] = 1.0
-            transition = (1.0 - mixing) * perm + uniform
+            transition = (1.0 - CYCLE_MIX) * perm + uniform
             classes.append(ActivityClass(class_id=cid, transition=transition,
                                          initial=np.full(num_actions, 1.0 / num_actions)))
         for i in range(num_classes):
@@ -135,8 +134,8 @@ def make_class_set(num_classes: int, num_actions: int, regime: str, seed: int,
         for i in range(k):
             src = subset[ring[i]]
             dst = subset[ring[(i + 1) % k]]
-            transition[src, dst] = 1.0 - mixing
-            transition[src, subset] += mixing / k
+            transition[src, dst] = 1.0 - CYCLE_MIX
+            transition[src, subset] += CYCLE_MIX / k
         # states outside the subset funnel uniformly into it (never visited
         # from the in-subset initial distribution, but rows stay stochastic)
         outside = np.setdiff1d(np.arange(num_actions), subset)

@@ -237,19 +237,17 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _maybe_record(out, (x,), lambda g: (np.transpose(g, inverse),))
 
 
-def mean(x: Tensor, axes, keepdims: bool = False) -> Tensor:
+def mean(x: Tensor, axes) -> Tensor:
     x = as_tensor(x)
     axes = tuple(axes) if isinstance(axes, (tuple, list)) else (axes,)
     count = 1
     for ax in axes:
         count *= x.shape[ax]
     # the sum and the division np.mean performs, without its Python wrapper
-    out = _op_output(np.add.reduce(x.data, axis=axes, keepdims=keepdims) / count)
+    out = _op_output(np.add.reduce(x.data, axis=axes) / count)
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axes) / count, x.shape).copy(),)
 
     return _maybe_record(out, (x,), backward)
 
@@ -586,10 +584,11 @@ def batch_norm(x: Tensor, state: BatchNormState, *, mode: str) -> Tensor:
 def loss(predictions: Tensor, targets, mode: str) -> Tensor:
     """Classification loss over a batch of probability rows.
 
-    single_label_ce: predictions (B,K) softmax outputs, targets int indices;
-    mean over the batch of -log p[target].
-    multi_label_bce: predictions (B,K) sigmoid outputs, targets (B,K) in
-    {0,1}; mean binary cross-entropy over all labels.
+    mode is the model's label mode (`model.LABEL_MODES`):
+    "single": predictions (B,K) softmax outputs, targets int indices;
+    mean over the batch of -log p[target] (cross-entropy).
+    "multi": predictions (B,K) sigmoid outputs, targets (B,K) in {0,1};
+    mean binary cross-entropy over all labels.
     """
     predictions = as_tensor(predictions)
     if predictions.ndim != 2:
@@ -598,7 +597,7 @@ def loss(predictions: Tensor, targets, mode: str) -> Tensor:
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
     # np.minimum(np.maximum(...)) is np.clip's arithmetic, without its wrapper
 
-    if mode == "single_label_ce":
+    if mode == "single":
         targets = np.asarray(targets, dtype=np.int64)
         if targets.shape != (batch,):
             raise ShapeError(f"targets shape {targets.shape} does not match batch {batch}")
@@ -616,7 +615,7 @@ def loss(predictions: Tensor, targets, mode: str) -> Tensor:
 
         return _maybe_record(out, (predictions,), backward)
 
-    if mode == "multi_label_bce":
+    if mode == "multi":
         targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != predictions.shape:
             raise ShapeError(f"targets shape {targets.shape} does not match predictions {predictions.shape}")
@@ -660,17 +659,27 @@ def tape_gradients(f: Callable[[], Tensor], tensors: Sequence[Tensor]) -> list[n
 FD_STEP = 1e-5
 
 
-def grad_check(f: Callable[[], Tensor], tensors: Sequence[Tensor]) -> float:
+def grad_check(f: Callable[[], Tensor] | Sequence[Callable[[], Tensor]],
+               tensors: Sequence[Tensor]) -> float:
     """Compare tape gradients of scalar f() against central finite differences.
 
     Returns the max relative error |a - n| / max(1e-8, |a| + |n|) over every
     component of every tensor in `tensors`, n being the central difference
     with step FD_STEP. Inputs should be 64-bit.
+
+    `f` is one function for every tensor, or a sequence of one function per
+    tensor: tensors[i] is then checked against f[i] alone, and the tensors
+    that share a function get their tape gradients from one taped call.
     """
-    analytic = tape_gradients(f, tensors)
+    losses = [f] * len(tensors) if callable(f) else list(f)
+    analytic = {}
+    for loss in dict.fromkeys(losses):
+        group = [t for t, t_loss in zip(tensors, losses) if t_loss is loss]
+        analytic.update(zip(map(id, group), tape_gradients(loss, group)))
 
     worst = 0.0
-    for t, a in zip(tensors, analytic):
+    for t, loss in zip(tensors, losses):
+        a = analytic[id(t)]
         if not t.data.flags["C_CONTIGUOUS"]:
             t.data = np.ascontiguousarray(t.data)
         flat = t.data.reshape(-1)   # view: in-place writes perturb t.data
@@ -678,9 +687,9 @@ def grad_check(f: Callable[[], Tensor], tensors: Sequence[Tensor]) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + FD_STEP
-            fp = f().item()
+            fp = loss().item()
             flat[i] = orig - FD_STEP
-            fm = f().item()
+            fm = loss().item()
             flat[i] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise ValueError("non-finite value encountered during finite differencing")

@@ -93,22 +93,18 @@ class EvalResult:
     labels: np.ndarray
 
 
-def _batch_targets(dataset: Dataset, idx: np.ndarray):
-    if dataset.label_mode == "single":
-        return dataset.labels[idx]
-    return dataset.labels[idx].astype(np.float64)
-
-
-def _loss_mode(label_mode: str) -> str:
-    return "single_label_ce" if label_mode == "single" else "multi_label_bce"
-
-
 def _batch_metrics(model, dataset: Dataset, idx: np.ndarray, mode: str) -> tuple[Tensor, np.ndarray]:
     """Forward one batch; returns (loss tensor, raw scores)."""
     feats = np.stack([dataset.features[i] for i in idx])
     scores = model.forward_batch(Tensor(feats), mode=mode)
-    targets = _batch_targets(dataset, idx)
-    return tz.loss(scores, targets, _loss_mode(dataset.label_mode)), scores.data
+    return tz.loss(scores, dataset.labels[idx], dataset.label_mode), scores.data
+
+
+def _score_metric(label_mode: str, scores: np.ndarray, labels: np.ndarray) -> tuple[str, float]:
+    """(name, value) of the run metric: argmax accuracy for single-label, mAP for multi."""
+    if label_mode == "single":
+        return "accuracy", accuracy(scores.argmax(axis=1), labels)
+    return "mAP", mean_average_precision(scores, labels)
 
 
 def _node_distance(model) -> float:
@@ -141,12 +137,8 @@ def _epoch_pass(model, dataset: Dataset, batch_size: int, order: np.ndarray,
         all_scores.append(scores)
         all_idx.append(idx)
 
-    scores = np.concatenate(all_scores)
     idx = np.concatenate(all_idx)
-    if dataset.label_mode == "single":
-        metric = accuracy(scores.argmax(axis=1), dataset.labels[idx])
-    else:
-        metric = mean_average_precision(scores, dataset.labels[idx])
+    _, metric = _score_metric(dataset.label_mode, np.concatenate(all_scores), dataset.labels[idx])
     return float(np.mean(losses)), metric
 
 
@@ -176,12 +168,8 @@ def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int =
             batch = np.stack([perturbed(i) for i in range(len(dataset))[chunk]])
             parts.append(model.forward_batch(Tensor(batch), mode="eval").data)
     scores = np.concatenate(parts)
-    if dataset.label_mode == "single":
-        predictions = scores.argmax(axis=1)
-        return EvalResult("accuracy", accuracy(predictions, dataset.labels),
-                          scores, predictions, dataset.labels)
-    return EvalResult("mAP", mean_average_precision(scores, dataset.labels),
-                      scores, scores.argmax(axis=1), dataset.labels)
+    name, metric = _score_metric(dataset.label_mode, scores, dataset.labels)
+    return EvalResult(name, metric, scores, scores.argmax(axis=1), dataset.labels)
 
 
 def build_model(config: RunConfig, train_dataset: Dataset, baseline: bool = False):
@@ -205,6 +193,7 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset | None
     config must match the run config in every model field but the
     initialisation-only ones (INIT_ONLY_FIELDS).
     """
+    config.check_types()
     if len(train_dataset) == 0:
         raise ValueError("training dataset is empty")
     if config.epochs < 1 or config.batch_size < 1:
@@ -223,7 +212,7 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset | None
                 raise ValueError(f"model config key {name!r} is {have!r} but the run config "
                                  f"has {want!r}")
     if val_dataset is None:
-        train_dataset, val_dataset = train_dataset.split(val_fraction=0.2, seed=config.seed)
+        train_dataset, val_dataset = train_dataset.split(seed=config.seed)
 
     if model is None:
         model = build_model(config, train_dataset, baseline=baseline)

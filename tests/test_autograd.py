@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from videograph import gradsuite
 from videograph import tensor as tz
 from videograph.gradsuite import (DESK_MODEL_CONFIG, MICRO_MODEL_CONFIG, OP_CHECKS,
-                                  StagedEvalLoss, run_gradient_suite, stage_groups)
+                                  run_gradient_suite, stage_losses)
 from videograph.model import VideoGraphConfig, VideoGraphModel
 from videograph.optim import SgdMomentum
 from videograph.tensor import ShapeError, Tape, Tensor, grad_check
@@ -125,7 +125,7 @@ class TestLeafOnlyGradients:
         for tape_cls in (Tape, KeepIntermediatesTape):
             model = VideoGraphModel(VideoGraphConfig(num_classes=4, seed=5))
             with tape_cls() as tape:
-                loss = tz.loss(model.forward_batch(Tensor(x), mode="train"), targets, "single_label_ce")
+                loss = tz.loss(model.forward_batch(Tensor(x), mode="train"), targets, "single")
                 tape.backward(loss)
             outputs_with_grad = sum(op.output.grad is not None for op in tape.ops)
             grads.append(({n: p.grad for n, p in model.named_parameters().items()}, outputs_with_grad))
@@ -221,6 +221,28 @@ class TestGradCheckRestore:
         assert [a.data.tobytes(), b.data.tobytes()] == before
 
 
+class TestGradCheckPerTensorFunctions:
+    def test_each_tensor_checked_against_its_own_function(self):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        calls = []
+
+        def square(t, key):
+            def f():
+                calls.append(key)
+                return tz.mean(tz.reshape(tz.mul(t, t), (t.size,)), axes=0)
+            return f
+
+        fa, fb = square(a, "a"), square(b, "b")
+        # one taped call per distinct function, then two calls per component
+        assert grad_check([fa, fb], [a, b]) <= 1e-8
+        assert (calls.count("a"), calls.count("b")) == (1 + 2 * a.size, 1 + 2 * b.size)
+        calls.clear()
+        assert grad_check([fa, fa], [a, b]) <= 1e-8   # fa does not read b: zero both ways
+        assert calls == ["a"] * (1 + 2 * (a.size + b.size))
+
+
 def _drawn_eval_model(config, seed, batch=2):
     """A model whose batch-norm running statistics were set by one train pass."""
     rng = np.random.default_rng(seed)
@@ -233,80 +255,86 @@ def _drawn_eval_model(config, seed, batch=2):
 
 
 def _full_eval_loss(model, x, targets):
-    return lambda: tz.loss(model.forward_batch(x, mode="eval"), targets, "single_label_ce")
-
-
-def _record_calls(obj, method_name, calls):
-    """Shadow obj.method_name with a wrapper that appends its name to calls."""
-    method = getattr(obj, method_name)
-
-    def recorded(*args, **kwargs):
-        calls.append(method_name)
-        return method(*args, **kwargs)
-
-    setattr(obj, method_name, recorded)
+    return lambda: tz.loss(model.forward_batch(x, mode="eval"), targets, "single")
 
 
 MODEL_CONFIGS = pytest.mark.parametrize("config", [MICRO_MODEL_CONFIG, DESK_MODEL_CONFIG],
                                         ids=["micro", "desk"])
+STAGES = ("attention", "embedding", "classifier")
+# the model methods each stage's loss runs: a loss restarts at its own stage
+STAGE_CALLS = (["forward_batch", "embed", "classifier_input"], ["embed", "classifier_input"], [])
+
+
+def _record_calls(obj, method_names, calls):
+    """Shadow each obj.<name> with a wrapper that appends the name to calls."""
+    for name in method_names:
+        def recorded(*args, _method=getattr(obj, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+        setattr(obj, name, recorded)
+
+
+def _stage_params(model):
+    """The attention, embedding and classifier parameters, read off the model's parts."""
+    return [[model.nodes, model.attention.weight, model.attention.bias],
+            [p for i, emb in enumerate(model.embeddings)
+             for p in emb.named_parameters(f"embed{i}").values()],
+            list(model.classifier.named_parameters("classifier").values())]
 
 
 class TestStagedEvalLoss:
+    """The staged eval-mode losses of `stage_losses`, one per forward stage."""
+
     @MODEL_CONFIGS
     def test_value_bitwise_equal_full_forward_after_perturbing_each_tensor(self, config):
         model, x, targets = _drawn_eval_model(config, 3)
-        staged, full = StagedEvalLoss(model, x, targets), _full_eval_loss(model, x, targets)
+        full = _full_eval_loss(model, x, targets)
         base = full().data.tobytes()
-        assert staged().data.tobytes() == base
-        # which stages a staged call reruns: the head alone for a classifier weight
-        stage_calls = []
-        for stage in ("embed", "classifier_input"):
-            _record_calls(model, stage, stage_calls)
         rng = np.random.default_rng(4)
-        for name, p in model.named_parameters().items():
-            flat = p.data.reshape(-1)
-            i = int(rng.integers(flat.size))
-            orig = flat[i]
-            for step in (1e-5, -1e-5):
-                flat[i] = orig + step
-                stage_calls.clear()
-                value = staged().data.tobytes()
-                expected = [] if name.startswith("classifier.") else ["embed", "classifier_input"]
-                assert stage_calls == expected, name
-                assert value == full().data.tobytes(), name
-            flat[i] = orig
-            assert staged().data.tobytes() == base, name
+        stages = stage_losses(model, x, targets)
+        calls = []
+        _record_calls(model, STAGE_CALLS[0], calls)
+        for stage, expected_calls, (group, loss) in zip(STAGES, STAGE_CALLS, stages):
+            calls.clear()
+            assert loss().data.tobytes() == base, stage
+            assert calls == expected_calls, stage
+            for p in group:
+                flat = p.data.reshape(-1)
+                i = int(rng.integers(flat.size))
+                orig = flat[i]
+                for step in (1e-5, -1e-5):
+                    flat[i] = orig + step
+                    assert loss().data.tobytes() == full().data.tobytes(), stage
+                flat[i] = orig
+            assert loss().data.tobytes() == base, stage
 
     @MODEL_CONFIGS
     def test_tape_grads_bitwise_equal_full_forward(self, config):
-        grads = []
-        for staged in (True, False):
-            model, x, targets = _drawn_eval_model(config, 5)
-            f = StagedEvalLoss(model, x, targets) if staged else _full_eval_loss(model, x, targets)
-            with Tape() as tape:
-                tape.backward(f())
-            grads.append({n: p.grad.tobytes() for n, p in model.named_parameters().items()})
-        assert grads[0] == grads[1]
+        model, x, targets = _drawn_eval_model(config, 5)
+        params = list(model.named_parameters().values())
+        full = tz.tape_gradients(_full_eval_loss(model, x, targets), params)
+        staged = [g for group, loss in stage_losses(model, x, targets)
+                  for g in tz.tape_gradients(loss, group)]
+        assert [g.tobytes() for g in staged] == [g.tobytes() for g in full]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_grad_check_bitwise_equal_full_forward(self, seed):
         model, x, targets = _drawn_eval_model(MICRO_MODEL_CONFIG, seed)
         params = list(model.named_parameters().values())
         full = grad_check(_full_eval_loss(model, x, targets), params)
-        staged = grad_check(StagedEvalLoss(model, x, targets), params)
+        stages = stage_losses(model, x, targets)
+        staged = grad_check([loss for group, loss in stages for _ in group], params)
         assert staged.hex() == full.hex()
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_stage_groups_and_head_partition_parameters(self, layers):
         config = VideoGraphConfig(T=9, N=9, H=1, W=1, C=3, num_classes=2, t=3, n=3,
                                   num_embedding_layers=layers, classifier_hidden=4)
-        model = VideoGraphModel(config)
-        attention, embedding = stage_groups(model)
-        params = model.named_parameters()
-        head = [p for name, p in params.items() if name.startswith("classifier.")]
-        ids = [id(p) for p in attention + embedding + head]
-        assert len(set(ids)) == len(ids)
-        assert set(ids) == {id(p) for p in params.values()}
+        model, x, targets = _drawn_eval_model(config, 0)
+        groups = [group for group, _ in stage_losses(model, x, targets)]
+        ids = [[id(p) for p in group] for group in groups]
+        assert ids == [[id(p) for p in group] for group in _stage_params(model)]
+        assert sum(ids, []) == [id(p) for p in model.named_parameters().values()]
 
     @pytest.mark.parametrize("check", [gradsuite.check_full_model_micro,
                                        gradsuite.check_full_model_desk])
@@ -319,16 +347,22 @@ class TestStagedEvalLoss:
                 models.append(self)
 
         def recording_grad_check(f, tensors):
-            calls.append(list(tensors))
+            calls.append((list(f), list(tensors)))
             return 0.0
 
         monkeypatch.setattr(gradsuite, "VideoGraphModel", RecordedModel)
         monkeypatch.setattr(gradsuite, "grad_check", recording_grad_check)
         check(np.random.default_rng(0))
         assert len(calls) == 1
-        params = models[-1].named_parameters().values()
-        assert sum(t.size for t in calls[0]) == sum(p.size for p in params)
-        assert [id(t) for t in calls[0]] == [id(p) for p in params]
+        (losses, tensors), = calls
+        params = models[-1].named_parameters()
+        assert [id(t) for t in tensors] == [id(p) for p in params.values()]
+        # one loss per stage, shared by the stage's parameters
+        loss_of = dict(zip(map(id, tensors), losses))
+        per_stage = [{id(loss_of[id(p)]) for p in group}
+                     for group in _stage_params(models[-1])]
+        assert [len(ids) for ids in per_stage] == [1] * len(STAGES)
+        assert len(set.union(*per_stage)) == len(STAGES)
 
 
 class TestSgd:

@@ -195,8 +195,8 @@ class TestDatasetAdapters:
     def test_split_deterministic_and_disjoint(self):
         gen = generate_samples(DatasetConfig(num_classes=2, seed=1), 10, salt=0)
         ds = dataset_from_generated(gen)
-        train_a, val_a = ds.split(0.2, seed=3)
-        train_b, val_b = ds.split(0.2, seed=3)
+        train_a, val_a = ds.split(seed=3)
+        train_b, val_b = ds.split(seed=3)
         assert len(val_a) == 4 and len(train_a) == 16
         np.testing.assert_array_equal(train_a.labels, train_b.labels)
         np.testing.assert_array_equal(val_a.labels, val_b.labels)

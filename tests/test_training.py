@@ -1,15 +1,20 @@
 """Metrics, evaluation, checkpoints, and the training loop."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import zlib
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from videograph import tensor as tz
+from videograph import training
 from videograph.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from videograph.datasets import Dataset, dataset_from_generated, load_manifest, write_manifest
 from videograph.metrics import mean_average_precision
@@ -392,6 +397,41 @@ class TestManifests:
         np.testing.assert_array_equal(ds.labels, direct.labels)
 
 
+# eval scores of a desk model on 100 videos at H = W = 3, the `eval_grid`
+# benchmark's shape, followed by the process's OS thread count; one
+# train-mode forward (no update) sets the batch-norm running statistics
+EVAL_SLICE = """
+from pathlib import Path
+import numpy as np
+from videograph import datasets, synthetic, tensor, training
+data = synthetic.DatasetConfig(num_classes=4, num_actions=4, regime="marginal_confound", T=16,
+                               H=3, W=3, C=16, seed=0)
+ds = datasets.dataset_from_generated(synthetic.generate_samples(data, 25, salt=1))
+model = training.build_model(training.RunConfig(H=3, W=3, seed=0), ds)
+with tensor.stop_recording():
+    model.forward_batch(tensor.Tensor(np.stack(ds.features[::4])), mode="train")
+for mode in synthetic.PERTURBATION_MODES:
+    print(training.evaluate(model, ds, perturbation=mode, seed=0).scores.tobytes().hex())
+print(Path("/proc/self/status").read_text().split("Threads:")[1].split()[0])
+"""
+
+
+class TestThreadCount:
+    def test_eval_scores_independent_of_blas_threads(self):
+        src = str(Path(training.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", EVAL_SLICE], env=env, capture_output=True,
+                                 text=True, timeout=120, check=True)
+            *scores, os_threads = run.stdout.split()
+            assert int(os_threads) == int(threads)
+            outputs.append(scores)
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
+
+
 class TestRunConfig:
     def test_model_config_carries_every_model_field(self):
         values = {"T": 12, "N": 9, "H": 2, "W": 3, "C": 5, "num_classes": 3, "t": 5, "n": 3,
@@ -418,3 +458,14 @@ class TestRunConfig:
     def test_int_is_a_float(self):
         cfg = RunConfig.from_dict({"learning_rate": 1, "weight_decay": 0, "val_manifest": None})
         assert (cfg.learning_rate, cfg.weight_decay, cfg.val_manifest) == (1, 0, None)
+
+    @pytest.mark.parametrize("key, value", [("batch_size", 2.5), ("epochs", 1.5)])
+    def test_train_checks_types_before_building_a_model(self, monkeypatch, key, value):
+        built = []
+        monkeypatch.setattr(training, "build_model", lambda *args, **kwargs: built.append(args))
+        ds, _ = tiny_dataset(num_classes=4, per_class=2)
+        config = replace(RunConfig(epochs=1), **{key: value})
+        with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be int; "
+                                                       f"got {value!r}")):
+            train(config, ds, ds)
+        assert built == []
