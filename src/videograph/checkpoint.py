@@ -1,16 +1,18 @@
 """Checkpoint persistence: manifest.json plus weights.bin in one directory.
 
-The manifest carries the format version, a verbatim config snapshot, ordered
-parameter records {name, shape, offset}, matching records for optimizer
-velocities, the optimizer epoch, and a crc32 of the payload. The payload is
-the concatenation of every recorded array as little-endian float32 in
-manifest order (parameters first, then velocities, then named buffers such
-as batch-norm running statistics).
+The manifest carries the format version, a verbatim config snapshot, the
+optimizer settings and epoch, and {name, shape} records in three groups:
+parameters, optimizer velocities, and named buffers such as batch-norm
+running statistics. weights.bin holds each recorded array's own little-endian
+float64 bytes, back to back in manifest order, then a uint32 crc32 of the
+manifest file's bytes followed by that payload (the VGFT trailer layout).
+A record's position follows from the order and shapes before it.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,91 +22,82 @@ import numpy as np
 from .model import MODEL_FIELDS, MODEL_TYPES, VideoGraphConfig, model_type_name
 from .optim import SgdMomentum
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
+_CRC = struct.Struct("<I")
 
 
 class CheckpointError(ValueError):
     """Malformed or corrupted checkpoint."""
 
 
-def _records(arrays: dict[str, np.ndarray], offset: int) -> tuple[list[dict], bytes, int]:
-    recs, chunks = [], []
-    for name, arr in arrays.items():
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        recs.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        chunks.append(blob)
-        offset += len(blob)
-    return recs, b"".join(chunks), offset
-
-
-def _buffer_arrays(model) -> dict[str, np.ndarray]:
+def _groups(model, optimizer: SgdMomentum) -> dict[str, dict[str, np.ndarray]]:
+    """The stored arrays by record group, in payload order."""
     buffers = {}
     for name, bn in model.bn_states().items():
         buffers[f"{name}.running_mean"] = bn.running_mean
         buffers[f"{name}.running_var"] = bn.running_var
-    return buffers
+    return {"params": {name: p.data for name, p in model.named_parameters().items()},
+            "velocities": optimizer.velocity,
+            "buffers": buffers}
+
+
+def _seal(manifest_bytes: bytes, payload: bytes) -> int:
+    return zlib.crc32(payload, zlib.crc32(manifest_bytes)) & 0xFFFFFFFF
+
+
+def _write_sealed(path: Path, manifest: dict, payload: bytes) -> None:
+    """Write weights.bin (payload plus the seal over manifest and payload), then manifest.json."""
+    manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    (path / WEIGHTS_NAME).write_bytes(payload + _CRC.pack(_seal(manifest_bytes, payload)))
+    (path / MANIFEST_NAME).write_bytes(manifest_bytes)
 
 
 def save_checkpoint(model, optimizer: SgdMomentum, epoch: int, path,
                     config_snapshot: dict | None = None) -> Path:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    params = {name: p.data for name, p in model.named_parameters().items()}
-    for name, arr in params.items():
+    groups = _groups(model, optimizer)
+    for name, arr in groups["params"].items():
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"refusing to checkpoint non-finite parameter {name!r}")
-
-    param_recs, param_blob, offset = _records(params, 0)
-    vel_recs, vel_blob, offset = _records(optimizer.velocity, offset)
-    buf_recs, buf_blob, offset = _records(_buffer_arrays(model), offset)
-    payload = param_blob + vel_blob + buf_blob
-
     manifest = {
         "format_version": FORMAT_VERSION,
         "model_type": model_type_name(model),
         "config": config_snapshot if config_snapshot is not None else model.config.to_dict(),
         "epoch": int(epoch),
         "bn_initialized": all(bn.initialized for bn in model.bn_states().values()),
-        "params": param_recs,
-        "velocities": vel_recs,
-        "buffers": buf_recs,
         "optimizer": {"learning_rate": optimizer.learning_rate,
                       "momentum": optimizer.momentum,
                       "weight_decay": optimizer.weight_decay},
-        "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
+        **{group: [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
+           for group, arrays in groups.items()},
     }
-    (path / WEIGHTS_NAME).write_bytes(payload)
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    payload = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                       for arrays in groups.values() for arr in arrays.values())
+    _write_sealed(path, manifest, payload)
     return path
 
 
-def _read_group(payload: bytes, manifest: dict, group: str, targets: dict[str, np.ndarray],
-                cursor: int) -> int:
-    """Copy one record group ("params", "velocities" or "buffers") into its target arrays.
-
-    The records must lie back to back from `cursor` and name exactly the
-    targets, each with its shape. Returns the cursor after the group.
-    """
-    records = manifest.get(group, [])
+def _read_group(payload: bytes, group: str, records: list[dict],
+                targets: dict[str, np.ndarray], cursor: int) -> int:
+    """Copy one group's records, which must name exactly `targets` with their
+    shapes, from the payload at `cursor` on; returns the cursor after them."""
     for rec in records:
-        name, shape, offset = rec["name"], tuple(rec["shape"]), rec["offset"]
+        name, shape = rec["name"], tuple(rec["shape"])
         if name not in targets:
             raise CheckpointError(f"{group} record {name!r} does not exist in the model")
         if shape != targets[name].shape:
             raise CheckpointError(f"{group} record {name!r}: manifest shape {shape} does not "
                                   f"match model shape {targets[name].shape}")
-        if offset != cursor:
-            raise CheckpointError(f"{group} record {name!r}: offset {offset} breaks payload "
-                                  f"contiguity (expected {cursor})")
         count = int(np.prod(shape, dtype=np.int64))
-        cursor = offset + 4 * count
-        if cursor > len(payload):
-            raise CheckpointError(f"{group} record {name!r}: record of {4 * count} bytes overruns "
+        if cursor + 8 * count > len(payload):
+            raise CheckpointError(f"{group} record {name!r}: record of {8 * count} bytes overruns "
                                   f"payload of {len(payload)} bytes")
-        targets[name][...] = np.frombuffer(payload, dtype="<f4", count=count,
-                                           offset=offset).reshape(shape)
+        targets[name][...] = np.frombuffer(payload, dtype="<f8", count=count,
+                                           offset=cursor).reshape(shape)
+        cursor += 8 * count
     missing = set(targets) - {rec["name"] for rec in records}
     if missing:
         raise CheckpointError(f"{group}: missing record(s) {sorted(missing)}")
@@ -125,13 +118,19 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointError(f"no {MANIFEST_NAME} in {path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest_bytes = manifest_path.read_bytes()
+    manifest = json.loads(manifest_bytes)
     if manifest.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"unknown checkpoint format version {manifest.get('format_version')!r}")
-    payload = (path / WEIGHTS_NAME).read_bytes()
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    if crc != manifest["crc32"]:
-        raise CheckpointError(f"payload crc mismatch: stored {manifest['crc32']:#010x}, "
+        raise CheckpointError(f"checkpoint format version {manifest.get('format_version')!r} "
+                              f"cannot be read; this build reads version {FORMAT_VERSION}")
+    blob = (path / WEIGHTS_NAME).read_bytes()
+    if len(blob) < _CRC.size:
+        raise CheckpointError(f"{WEIGHTS_NAME} of {len(blob)} bytes is too short to hold its crc")
+    payload = blob[:-_CRC.size]
+    (stored,) = _CRC.unpack_from(blob, len(payload))
+    crc = _seal(manifest_bytes, payload)
+    if crc != stored:
+        raise CheckpointError(f"manifest and payload crc mismatch: stored {stored:#010x}, "
                               f"computed {crc:#010x}")
 
     model_type = manifest["model_type"]
@@ -146,13 +145,11 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     # parameters are overwritten below, so build with a data-free init strategy
     model = MODEL_TYPES[model_type](replace(config, init_strategy="random"))
     model.config = config
+    optimizer = SgdMomentum(model.named_parameters(), **manifest.get("optimizer", {}))
 
-    params = model.named_parameters()
-    cursor = _read_group(payload, manifest, "params",
-                         {name: p.data for name, p in params.items()}, 0)
-    optimizer = SgdMomentum(params, **manifest.get("optimizer", {}))
-    cursor = _read_group(payload, manifest, "velocities", optimizer.velocity, cursor)
-    cursor = _read_group(payload, manifest, "buffers", _buffer_arrays(model), cursor)
+    cursor = 0
+    for group, targets in _groups(model, optimizer).items():
+        cursor = _read_group(payload, group, manifest.get(group, []), targets, cursor)
     if cursor != len(payload):
         raise CheckpointError(f"payload has {len(payload) - cursor} trailing bytes")
 

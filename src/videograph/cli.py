@@ -147,7 +147,8 @@ def cmd_eval(parser, args) -> int:
     if args.out and dataset.label_mode == "single":
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        counts = confusion_matrix(result.predictions, result.labels, dataset.num_label_classes)
+        counts = confusion_matrix(result.predictions, result.labels,
+                                  loaded.model.config.num_classes)
         write_confusion_csv(counts, out / f"confusion_{perturbation}.csv")
         print(f"confusion matrix written to {out / f'confusion_{perturbation}.csv'}")
     return 0

@@ -32,12 +32,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.features)
 
-    @property
-    def num_label_classes(self) -> int:
-        if self.label_mode == "single":
-            return int(self.labels.max()) + 1
-        return self.labels.shape[1]
-
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
         return Dataset(features=[self.features[i] for i in indices],
@@ -79,36 +73,39 @@ def write_manifest(gen: GeneratedDataset, out_dir, name: str) -> Path:
     return manifest_path
 
 
-def load_manifest(manifest_path, num_label_classes: int | None = None) -> Dataset:
+def load_manifest(manifest_path, num_label_classes: int) -> Dataset:
+    """Read a manifest whose labels must all lie in [0, num_label_classes)."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    features, singles, multis = [], [], []
+    features, label_rows = [], []
     label_mode = None
     for line_no, line in enumerate(manifest_path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         record = json.loads(line)
-        features.append(read_feature_file(base / record["feature_path"]))
         if "label" in record:
-            mode = "single"
-            singles.append(int(record["label"]))
+            mode, labels = "single", [int(record["label"])]
         elif "labels" in record:
-            mode = "multi"
-            multis.append([int(v) for v in record["labels"]])
+            mode, labels = "multi", [int(v) for v in record["labels"]]
         else:
             raise ValueError(f"{manifest_path}:{line_no}: record has neither 'label' nor 'labels'")
         if label_mode is None:
             label_mode = mode
         elif label_mode != mode:
             raise ValueError(f"{manifest_path}:{line_no}: mixed single/multi label records")
+        bad = [v for v in labels if not 0 <= v < num_label_classes]
+        if bad:
+            raise ValueError(f"{manifest_path}:{line_no}: label {bad[0]} is outside "
+                             f"[0, {num_label_classes})")
+        features.append(read_feature_file(base / record["feature_path"]))
+        label_rows.append(labels)
     if not features:
         raise ValueError(f"{manifest_path}: empty manifest")
 
     if label_mode == "single":
-        labels = np.array(singles, dtype=np.int64)
+        labels = np.array([row[0] for row in label_rows], dtype=np.int64)
     else:
-        k = num_label_classes or (max(max(m) for m in multis if m) + 1)
-        labels = np.zeros((len(multis), k), dtype=np.int64)
-        for i, m in enumerate(multis):
-            labels[i, m] = 1
+        labels = np.zeros((len(label_rows), num_label_classes), dtype=np.int64)
+        for i, row in enumerate(label_rows):
+            labels[i, row] = 1
     return Dataset(features=features, labels=labels, label_mode=label_mode)

@@ -35,6 +35,18 @@ INIT_STRATEGIES = ("random", "sobol", "kmeans")
 LABEL_MODES = ("single", "multi")
 
 
+def check_types(config) -> None:
+    """Raise ValueError naming the first field of a config dataclass whose value
+    is not of its annotated type. A bool is not an int; an int is a float.
+    """
+    for name, want in typing.get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        allowed = (int, float) if want is float else want
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"config key {name!r} must be "
+                             f"{getattr(want, '__name__', want)}; got {value!r}")
+
+
 @dataclass
 class VideoGraphConfig:
     """Model dimensions and wiring; the defaults are the desk preset.
@@ -58,20 +70,8 @@ class VideoGraphConfig:
     init_strategy: str = "random"
     seed: int = 0
 
-    def check_types(self) -> None:
-        """Raise ValueError naming the first field whose value is not of its type.
-
-        A bool is not an int; an int is a float.
-        """
-        for name, want in typing.get_type_hints(type(self)).items():
-            value = getattr(self, name)
-            allowed = (int, float) if want is float else want
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ValueError(f"config key {name!r} must be "
-                                 f"{getattr(want, '__name__', want)}; got {value!r}")
-
     def validate(self) -> None:
-        self.check_types()
+        check_types(self)
         for name in ("T", "N", "H", "W", "C", "num_classes", "classifier_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be positive")

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .model import LABEL_MODES, check_types
+
 DEFAULT_NOISE_SIGMA = 0.3
 CYCLE_MIX = 0.25           # weight of the uniform part blended into each cycle
 MIN_CLASS_DISTANCE = 0.1   # Frobenius separation required between classes
@@ -219,6 +221,17 @@ class DatasetConfig:
     label_mode: str = "single"
     seed: int = 0
 
+    def validate(self) -> None:
+        """Raise ValueError naming the first key that cannot generate a dataset."""
+        check_types(self)
+        for name in ("num_classes", "num_actions", "T", "H", "W", "C",
+                     "train_videos_per_class", "val_videos_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"config key {name!r} must be positive; got {getattr(self, name)}")
+        if self.label_mode not in LABEL_MODES:
+            raise ValueError(f"config key 'label_mode' must be one of {LABEL_MODES}; "
+                             f"got {self.label_mode!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -231,6 +244,7 @@ class GeneratedDataset:
 
 
 def generate_samples(config: DatasetConfig, videos_per_class: int, salt: int) -> GeneratedDataset:
+    config.validate()
     vocab = make_vocabulary(config.num_actions, config.C, seed=config.seed,
                             noise_sigma=config.noise_sigma)
     classes = make_class_set(config.num_classes, config.num_actions, config.regime,

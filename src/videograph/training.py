@@ -20,7 +20,8 @@ from .analysis import track_node_distances
 from .checkpoint import save_checkpoint
 from .datasets import Dataset
 from .metrics import accuracy, mean_average_precision
-from .model import MODEL_FIELDS, MeanPoolBaseline, VideoGraphConfig, VideoGraphModel, eval_chunks
+from .model import (MODEL_FIELDS, MeanPoolBaseline, VideoGraphConfig, VideoGraphModel, check_types,
+                    eval_chunks)
 from .optim import SgdMomentum
 from .synthetic import perturbation_indices
 from .tensor import Tape, Tensor
@@ -53,7 +54,7 @@ class RunConfig(VideoGraphConfig):
         if unknown:
             raise ValueError(f"unknown run config keys: {sorted(unknown)}")
         config = cls(**data)
-        config.check_types()
+        check_types(config)
         return config
 
 
@@ -193,7 +194,7 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset | None
     config must match the run config in every model field but the
     initialisation-only ones (INIT_ONLY_FIELDS).
     """
-    config.check_types()
+    check_types(config)
     if len(train_dataset) == 0:
         raise ValueError("training dataset is empty")
     if config.epochs < 1 or config.batch_size < 1:

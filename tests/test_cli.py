@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from videograph import checkpoint
 from videograph.cli import main
 from videograph.datasets import load_manifest
 from videograph.model import MODEL_FIELDS
@@ -15,6 +16,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def swap_mean_and_var(manifest_text):
+    """The names of the first embedding layer's two batch-norm buffer records, swapped."""
+    mean, var = '"embed0.bn.running_mean"', '"embed0.bn.running_var"'
+    assert mean in manifest_text and var in manifest_text
+    return manifest_text.replace(mean, "@").replace(var, mean).replace("@", var)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +145,17 @@ class TestGenData:
         assert [f.name for f in feats_a] == [f.name for f in feats_b]
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(feats_a, feats_b))
 
+    @pytest.mark.parametrize("config, key", [
+        ({"label_mode": "bogus"}, "label_mode"), ({"T": 0}, "T"),
+        ({"train_videos_per_class": 0}, "train_videos_per_class"), ({"T": "16"}, "T")])
+    def test_invalid_config_exits_one_before_writing(self, capsys, tmp_path, config, key):
+        cfg = tmp_path / "d.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "gen-data", "--config", str(cfg), "--out", str(tmp_path / "a"))
+        assert code == 1
+        assert f"config key {key!r}" in err
+        assert not (tmp_path / "a").exists()
+
     def test_seed_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "d.json"
         cfg.write_text(json.dumps({"num_classes": 2, "train_videos_per_class": 2,
@@ -253,11 +272,47 @@ class TestTrainEvalReport:
         shutil.copytree(workspace / "run" / "checkpoint", ckpt)
         manifest = json.loads((ckpt / "manifest.json").read_text())
         del manifest["config"][key]
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        checkpoint._write_sealed(ckpt, manifest, (ckpt / "weights.bin").read_bytes()[:-4])
         code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
                                "--data", str(workspace / "data"))
         assert code == 1
         assert repr([key]) in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (swap_mean_and_var, "crc mismatch"),
+        (lambda text: text.replace('"format_version": 2', '"format_version": 1'),
+         "version 1 cannot be read; this build reads version 2")])
+    def test_eval_of_edited_manifest_exits_one(self, workspace, capsys, tmp_path, edit, message):
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(workspace / "run" / "checkpoint", ckpt)
+        (ckpt / "manifest.json").write_text(edit((ckpt / "manifest.json").read_text()))
+        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                               "--data", str(workspace / "data"))
+        assert code == 1
+        assert message in err
+
+    def test_train_with_labels_beyond_num_classes_exits_one(self, capsys, tmp_path):
+        data_cfg = tmp_path / "data.json"
+        data_cfg.write_text(json.dumps({"num_classes": 4, "train_videos_per_class": 1,
+                                        "val_videos_per_class": 1, "seed": 1}))
+        assert main(["gen-data", "--config", str(data_cfg), "--out", str(tmp_path / "data")]) == 0
+        run_cfg = tmp_path / "run.json"
+        run_cfg.write_text(json.dumps({"num_classes": 2, "epochs": 1}))
+        code, _, err = run_cli(capsys, "train", "--config", str(run_cfg),
+                               "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert "train.jsonl:3: label 2 is outside [0, 2)" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_confusion_sized_by_model_classes(self, workspace, capsys, tmp_path):
+        # a 4-class model on the 2-class set: labels are 0-1, predictions 0-3
+        ds = load_manifest(workspace / "data" / "train.jsonl", num_label_classes=4)
+        train(RunConfig(num_classes=4, epochs=1, seed=1), ds, ds, out_dir=tmp_path / "four")
+        code, _, _ = run_cli(capsys, "eval", "--checkpoint", str(tmp_path / "four" / "checkpoint"),
+                             "--data", str(workspace / "data"), "--out", str(tmp_path / "eval"))
+        assert code == 0
+        conf = (tmp_path / "eval" / "confusion_natural.csv").read_text().splitlines()
+        assert len(conf) == 5  # header + 4 classes
 
     def test_bad_checkpoint_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--checkpoint", str(tmp_path / "nope"),

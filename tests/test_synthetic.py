@@ -184,7 +184,6 @@ class TestDatasetAdapters:
         ds = dataset_from_generated(gen)
         assert len(ds) == 8
         assert ds.labels.shape == (8,)
-        assert ds.num_label_classes == 2
 
     def test_multi_label_dataset(self):
         cfg = DatasetConfig(num_classes=2, label_mode="multi", seed=0)

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import zlib
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from videograph import checkpoint
 from videograph import tensor as tz
 from videograph import training
 from videograph.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -180,8 +180,7 @@ class TestCheckpoint:
         ckpt = tmp_path / "run" / "checkpoint"
         loaded = load_checkpoint(ckpt)
         for name, p in model.named_parameters().items():
-            np.testing.assert_array_equal(p.data.astype(np.float32),
-                                          loaded.model.named_parameters()[name].data.astype(np.float32))
+            np.testing.assert_array_equal(p.data, loaded.model.named_parameters()[name].data)
         save_checkpoint(loaded.model, loaded.optimizer, loaded.epoch, tmp_path / "second",
                         config_snapshot=loaded.config)
         assert (ckpt / "weights.bin").read_bytes() == (tmp_path / "second" / "weights.bin").read_bytes()
@@ -201,40 +200,62 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="crc"):
             load_checkpoint(ckpt)
 
-    def test_shape_mismatch_names_parameter(self, tmp_path):
-        import json
+    @staticmethod
+    def _resealed(ckpt, edit):
+        """Apply `edit` to the manifest and seal it with the payload again."""
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        edit(manifest)
+        payload = (ckpt / "weights.bin").read_bytes()[:-4]
+        checkpoint._write_sealed(ckpt, manifest, payload)
+        return manifest
+
+    def test_swapped_record_names_detected(self, tmp_path):
         self._trained(tmp_path)
         ckpt = tmp_path / "run" / "checkpoint"
         manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest["params"][0]["shape"] = [1, 1]
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        names = [rec["name"] for rec in manifest["buffers"]]
+        i, j = names.index("embed0.bn.running_mean"), names.index("embed0.bn.running_var")
+        buffers = manifest["buffers"]
+        buffers[i]["name"], buffers[j]["name"] = buffers[j]["name"], buffers[i]["name"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with pytest.raises(CheckpointError, match="crc"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_weights_shorter_than_seal_rejected(self, tmp_path, size):
+        self._trained(tmp_path)
+        ckpt = tmp_path / "run" / "checkpoint"
+        (ckpt / "weights.bin").write_bytes(b"\x00" * size)
+        with pytest.raises(CheckpointError, match=f"{size} bytes is too short"):
+            load_checkpoint(ckpt)
+
+    def test_shape_mismatch_names_parameter(self, tmp_path):
+        self._trained(tmp_path)
+        ckpt = tmp_path / "run" / "checkpoint"
+        manifest = self._resealed(ckpt, lambda m: m["params"][0].update(shape=[1, 1]))
         name = manifest["params"][0]["name"]
         with pytest.raises(CheckpointError, match=name.replace(".", "\\.")):
             load_checkpoint(ckpt)
 
     @staticmethod
     def _rewrite_record(ckpt, group, name, shape):
-        """Cut one record to its first values of `shape` (None drops it); offsets and crc redone."""
+        """Cut one record to its first values of `shape` (None drops it), then re-seal."""
         manifest = json.loads((ckpt / "manifest.json").read_text())
         payload = (ckpt / "weights.bin").read_bytes()
-        chunks, offset = [], 0
+        chunks, cursor = [], 0
         for g in ("params", "velocities", "buffers"):
             kept = []
             for rec in manifest[g]:
-                blob = payload[rec["offset"]:rec["offset"] + 4 * int(np.prod(rec["shape"]))]
+                blob = payload[cursor:cursor + 8 * int(np.prod(rec["shape"]))]
+                cursor += len(blob)
                 if (g, rec["name"]) == (group, name):
                     if shape is None:
                         continue
-                    rec["shape"], blob = list(shape), blob[:4 * int(np.prod(shape))]
-                rec["offset"] = offset
-                offset += len(blob)
+                    rec["shape"], blob = list(shape), blob[:8 * int(np.prod(shape))]
                 chunks.append(blob)
                 kept.append(rec)
             manifest[g] = kept
-        payload = b"".join(chunks)
-        manifest["crc32"] = zlib.crc32(payload) & 0xFFFFFFFF
-        (ckpt / "weights.bin").write_bytes(payload)
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        checkpoint._write_sealed(ckpt, manifest, b"".join(chunks))
 
     @pytest.mark.parametrize("group, name, shape", [
         ("params", "classifier.fc2.bias", None),
@@ -268,9 +289,7 @@ class TestCheckpoint:
 
     def test_missing_optimizer_settings_named(self, tmp_path):
         ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: None)
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        del manifest["optimizer"]
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        self._resealed(ckpt, lambda m: m.pop("optimizer"))
         with pytest.raises(TypeError, match="'learning_rate', 'momentum', and 'weight_decay'"):
             load_checkpoint(ckpt)
 
@@ -282,17 +301,26 @@ class TestCheckpoint:
     def test_resume_matches_uninterrupted_loss(self, tmp_path):
         ds, _ = tiny_dataset(seed=4)
         full_cfg = RunConfig(num_classes=2, epochs=3, seed=4)
-        _, full_log = train(full_cfg, ds, val_dataset=ds)
+        full_model = build_model(full_cfg, ds)
+        full_opt = SgdMomentum(full_model.named_parameters(), learning_rate=full_cfg.learning_rate,
+                               momentum=full_cfg.momentum, weight_decay=full_cfg.weight_decay)
+        _, full_log = train(full_cfg, ds, val_dataset=ds, model=full_model, optimizer=full_opt)
 
         short_cfg = RunConfig(num_classes=2, epochs=2, seed=4)
-        train(short_cfg, ds, val_dataset=ds, out_dir=tmp_path / "short")
+        _, short_log = train(short_cfg, ds, val_dataset=ds, out_dir=tmp_path / "short")
         loaded = load_checkpoint(tmp_path / "short" / "checkpoint")
         _, resumed_log = train(full_cfg, ds, val_dataset=ds, model=loaded.model,
                                optimizer=loaded.optimizer, start_epoch=loaded.epoch)
-        full_loss = full_log.column("train_loss")[-1]
-        resumed_loss = resumed_log.column("train_loss")[-1]
         assert resumed_log.column("epoch") == [3]
-        assert abs(full_loss - resumed_loss) <= 1e-6
+        # repr round-trips a float exactly, so equal reprs are equal bits
+        assert repr(short_log.rows + resumed_log.rows) == repr(full_log.rows)
+        for name, p in full_model.named_parameters().items():
+            assert p.data.tobytes() == loaded.model.named_parameters()[name].data.tobytes()
+            assert full_opt.velocity[name].tobytes() == loaded.optimizer.velocity[name].tobytes()
+        for name, bn in full_model.bn_states().items():
+            resumed = loaded.model.bn_states()[name]
+            assert bn.running_mean.tobytes() == resumed.running_mean.tobytes()
+            assert bn.running_var.tobytes() == resumed.running_var.tobytes()
 
 
 class TestTrainingLoop:
@@ -375,7 +403,7 @@ class TestManifests:
     def test_round_trip_through_files(self, tmp_path):
         gen = generate_samples(DatasetConfig(num_classes=2, seed=1), 3, salt=0)
         write_manifest(gen, tmp_path, "train")
-        ds = load_manifest(tmp_path / "train.jsonl")
+        ds = load_manifest(tmp_path / "train.jsonl", num_label_classes=2)
         direct = dataset_from_generated(gen)
         assert len(ds) == len(direct)
         np.testing.assert_array_equal(ds.labels, direct.labels)
@@ -386,7 +414,20 @@ class TestManifests:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
-            load_manifest(path)
+            load_manifest(path, num_label_classes=2)
+
+    @pytest.mark.parametrize("record, bad", [
+        ({"label": 2}, 2), ({"label": -1}, -1), ({"labels": [0, 2]}, 2), ({"labels": [-1]}, -1)])
+    def test_label_outside_class_count_names_line(self, tmp_path, record, bad):
+        gen = generate_samples(DatasetConfig(num_classes=2, seed=1), 1, salt=0)
+        first = write_manifest(gen, tmp_path, "train").read_text().splitlines()[0]
+        feature = {"feature_path": json.loads(first)["feature_path"]}
+        valid = {"label": 0} if "label" in record else {"labels": [1]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({**feature, **valid}) + "\n"
+                        + json.dumps({**feature, **record}) + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.jsonl:2: label {bad} is outside \[0, 2\)"):
+            load_manifest(path, num_label_classes=2)
 
     def test_multi_label_round_trip(self, tmp_path):
         cfg = DatasetConfig(num_classes=2, label_mode="multi", seed=2)
