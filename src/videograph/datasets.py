@@ -25,6 +25,13 @@ VAL_FRACTION = 0.2
 
 @dataclass
 class Dataset:
+    """Videos' features and labels.
+
+    Features keep the precision they were made or stored in: float32 when
+    read from VGFT files. Batches widen them to float64 exactly where they
+    become a `Tensor`.
+    """
+
     features: list[np.ndarray]        # each (T, H, W, C)
     labels: np.ndarray                # (V,) ints, or (V, K) binary for multi
     label_mode: str                   # "single" | "multi"

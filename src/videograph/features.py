@@ -10,9 +10,9 @@ Layout, all little-endian:
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -27,42 +27,50 @@ class FeatureFileError(ValueError):
 
 
 def write_feature_file(path, features: np.ndarray) -> None:
-    """Write a (T, H, W, C) tensor; payload is stored as float32."""
+    """Write a (T, H, W, C) tensor; payload is stored as float32.
+
+    Header, payload and crc go through one file handle: the payload is the
+    float32 array's own buffer, never a bytes copy of it.
+    """
     arr = np.asarray(features)
     if arr.ndim != 4:
         raise ValueError(f"features must be 4-D (T, H, W, C); got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("refusing to write non-finite features")
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    header = _HEADER.pack(MAGIC, VERSION, *arr.shape)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    Path(path).write_bytes(header + payload + _CRC.pack(crc))
+    payload = np.ascontiguousarray(arr, dtype="<f4")
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(MAGIC, VERSION, *arr.shape))
+        f.write(payload)
+        f.write(_CRC.pack(zlib.crc32(payload)))
 
 
 def read_feature_file(path) -> np.ndarray:
-    """Read a feature file back as a float64 (T, H, W, C) array.
+    """Read a feature file back as a float32 (T, H, W, C) array.
 
-    float32 payload values embed exactly in float64, so a write-read-write
-    cycle is byte identical.
+    The payload is read straight into the returned array, so a read holds one
+    copy of it. Features stay float32 until they become a `Tensor`, which
+    widens them to float64 exactly; a write-read-write cycle is byte
+    identical.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size + _CRC.size:
-        raise FeatureFileError(f"file too short to hold a header: {len(blob)} bytes")
-    magic, version, t, h, w, c = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FeatureFileError(f"bad magic {magic!r} at offset 0 (expected {MAGIC!r})")
-    if version != VERSION:
-        raise FeatureFileError(f"unsupported version {version} (expected {VERSION})")
-    expected = t * h * w * c
-    actual = (len(blob) - _HEADER.size - _CRC.size) // 4
-    if _HEADER.size + expected * 4 + _CRC.size != len(blob):
-        raise FeatureFileError(f"payload size mismatch: expected {expected} float32 values, found {actual}")
-    payload = blob[_HEADER.size:_HEADER.size + expected * 4]
-    (crc_stored,) = _CRC.unpack_from(blob, _HEADER.size + expected * 4)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < _HEADER.size + _CRC.size:
+            raise FeatureFileError(f"file too short to hold a header: {size} bytes")
+        magic, version, t, h, w, c = _HEADER.unpack(f.read(_HEADER.size))
+        if magic != MAGIC:
+            raise FeatureFileError(f"bad magic {magic!r} at offset 0 (expected {MAGIC!r})")
+        if version != VERSION:
+            raise FeatureFileError(f"unsupported version {version} (expected {VERSION})")
+        expected = t * h * w * c
+        actual = (size - _HEADER.size - _CRC.size) // 4
+        if _HEADER.size + expected * 4 + _CRC.size != size:
+            raise FeatureFileError(f"payload size mismatch: expected {expected} float32 values, found {actual}")
+        arr = np.empty((t, h, w, c), dtype="<f4")
+        f.readinto(arr)
+        (crc_stored,) = _CRC.unpack(f.read(_CRC.size))
+    crc = zlib.crc32(arr)
     if crc != crc_stored:
         raise FeatureFileError(f"payload checksum mismatch: stored {crc_stored:#010x}, computed {crc:#010x}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(t, h, w, c).astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise FeatureFileError("payload contains non-finite values")
     return arr

@@ -30,14 +30,17 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense nd-array with an optional gradient buffer."""
+    """A dense float64 nd-array with an optional gradient buffer.
+
+    Every input is stored as float64, the precision all ops compute in.
+    Loaded float32 features widen here, and only here; float32 values embed
+    exactly in float64, so the widening moves no bit.
+    """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
+        arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor contains non-finite values")
         self.data = arr
@@ -232,7 +235,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     x = as_tensor(x)
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     out = _op_output(np.transpose(x.data, axes))
     return _maybe_record(out, (x,), lambda g: (np.transpose(g, inverse),))
 

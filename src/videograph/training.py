@@ -173,6 +173,20 @@ def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int =
     return EvalResult(name, metric, scores, scores.argmax(axis=1), dataset.labels)
 
 
+def _check_labels(dataset: Dataset, num_classes: int, name: str) -> None:
+    """Reject labels the classifier's num_classes outputs cannot score."""
+    labels = dataset.labels
+    if dataset.label_mode == "multi":
+        if labels.shape[1:] != (num_classes,):
+            raise ValueError(f"{name} dataset has multi-label rows of shape {labels.shape[1:]} "
+                             f"but num_classes is {num_classes}")
+        return
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if bad.size:
+        raise ValueError(f"{name} dataset label {bad[0]} is outside [0, {num_classes}) "
+                         f"for num_classes {num_classes}")
+
+
 def build_model(config: RunConfig, train_dataset: Dataset, baseline: bool = False):
     if baseline:
         return MeanPoolBaseline(config.model_config())
@@ -212,6 +226,9 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset | None
             if name not in INIT_ONLY_FIELDS and have != want:
                 raise ValueError(f"model config key {name!r} is {have!r} but the run config "
                                  f"has {want!r}")
+    for name, dataset in (("train", train_dataset), ("val", val_dataset)):
+        if dataset is not None:
+            _check_labels(dataset, config.num_classes, name)
     if val_dataset is None:
         train_dataset, val_dataset = train_dataset.split(seed=config.seed)
 

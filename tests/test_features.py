@@ -1,5 +1,7 @@
 """Feature-file container, Sobol sequence, and k-means clustering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,34 @@ class TestFeatureFile:
     def test_non_finite_write_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
             write_feature_file(tmp_path / "x.vgft", np.full((1, 1, 1, 1), np.inf))
+
+    # a (16, 4, 4, 256) payload: N = 65536 float32 values, 256 KiB
+    PAYLOAD_SHAPE = (16, 4, 4, 256)
+
+    def test_read_holds_one_float32_copy(self, tmp_path):
+        path = tmp_path / "clip.vgft"
+        write_feature_file(path, np.random.default_rng(0).normal(size=self.PAYLOAD_SHAPE))
+        payload = 4 * int(np.prod(self.PAYLOAD_SHAPE))
+        tracemalloc.start()
+        try:
+            loaded = read_feature_file(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.dtype == np.float32 and loaded.shape == self.PAYLOAD_SHAPE
+        assert peak <= 1.5 * payload
+        assert payload <= retained <= payload + 4096
+
+    def test_write_holds_at_most_one_float32_copy(self, tmp_path):
+        features = np.random.default_rng(0).normal(size=self.PAYLOAD_SHAPE)
+        payload = 4 * features.size
+        tracemalloc.start()
+        try:
+            write_feature_file(tmp_path / "clip.vgft", features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * payload
 
 
 def reference_sobol_1d(count):

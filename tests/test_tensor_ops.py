@@ -271,11 +271,11 @@ def mean_cases(draw):
 
 
 class TestMean:
-    @given(mean_cases(), st.sampled_from([np.float64, np.float32]))
+    @given(mean_cases())
     @settings(max_examples=200, deadline=None)
-    def test_bitwise_equal_np_mean(self, case, dtype):
+    def test_bitwise_equal_np_mean(self, case):
         shape, axes, seed = case
-        x = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+        x = np.random.default_rng(seed).normal(size=shape)
         got = tz.mean(Tensor(x), axes=axes).data
         ref = np.asarray(np.mean(x, axis=axes))
         assert type(got) is np.ndarray
@@ -573,6 +573,15 @@ class TestTensorInvariants:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             Tensor(np.array([1.0, np.nan]))
+
+    @given(st.sampled_from([np.float32, np.int64, np.int32]), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_inputs_widen_to_float64_exactly(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=1e3, size=(3, 4, 5)).astype(dtype)
+        data = Tensor(x).data
+        assert data.dtype == np.float64
+        assert data.tobytes() == x.astype(np.float64).tobytes()
 
     def test_op_outputs_skip_the_scan_that_public_tensors_run(self):
         for bad in (np.array([np.nan]), np.array([np.inf]), [1.0, -np.inf]):

@@ -377,6 +377,29 @@ class TestTrainingLoop:
             train(RunConfig(), Dataset(features=[], labels=np.zeros(0, dtype=np.int64),
                                        label_mode="single"))
 
+    @pytest.mark.parametrize("which, labels, message", [
+        ("train", [0, 1, 2, 1], "train dataset label 2 is outside [0, 2) for num_classes 2"),
+        ("train", [0, -1, 1, 5], "train dataset label -1 is outside [0, 2) for num_classes 2"),
+        ("val", [0, 1, 1, 3], "val dataset label 3 is outside [0, 2) for num_classes 2"),
+        ("val", np.eye(4, 3, dtype=np.int64),
+         "val dataset has multi-label rows of shape (3,) but num_classes is 2"),
+        ("train", np.eye(4, 1, dtype=np.int64),
+         "train dataset has multi-label rows of shape (1,) but num_classes is 2")],
+        ids=["train-above", "train-negative", "val-above", "val-multi-width", "train-multi-width"])
+    def test_labels_checked_before_a_model_is_built(self, monkeypatch, which, labels, message):
+        built = []
+        monkeypatch.setattr(training, "build_model", lambda *args, **kwargs: built.append(args))
+        ds, _ = tiny_dataset(num_classes=2, per_class=2)
+        labels = np.asarray(labels)
+        mode = "multi" if labels.ndim == 2 else "single"
+        good = Dataset(ds.features, np.eye(4, 2, dtype=np.int64) if mode == "multi" else ds.labels,
+                       mode)
+        bad = Dataset(ds.features, labels, mode)
+        config = RunConfig(num_classes=2, epochs=1, label_mode=mode)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(config, *((bad, good) if which == "train" else (good, bad)))
+        assert built == []
+
     def test_metric_log_strictly_increasing(self):
         log = MetricLog()
         log.append(0, 1.0, 0.5, 0.5, 0.1)
@@ -410,6 +433,12 @@ class TestManifests:
         for a, b in zip(ds.features, direct.features):
             np.testing.assert_array_equal(a, b.astype(np.float32).astype(np.float64))
 
+    def test_features_stay_float32(self, tmp_path):
+        gen = generate_samples(DatasetConfig(num_classes=2, seed=1), 2, salt=0)
+        write_manifest(gen, tmp_path, "train")
+        ds = load_manifest(tmp_path / "train.jsonl", num_label_classes=2)
+        assert [f.dtype for f in ds.features] == [np.dtype(np.float32)] * 4
+
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -436,6 +465,37 @@ class TestManifests:
         ds = load_manifest(tmp_path / "val.jsonl", num_label_classes=cfg.num_actions)
         direct = dataset_from_generated(gen)
         np.testing.assert_array_equal(ds.labels, direct.labels)
+
+
+class TestLoadedFeaturesWidenExactly:
+    """Loaded float32 features give the bits of the same features widened to float64 up front."""
+
+    CONFIG = RunConfig(num_classes=2, H=2, W=2, epochs=2, seed=5)
+
+    @pytest.fixture(scope="class")
+    def datasets(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("data")
+        gen = generate_samples(DatasetConfig(num_classes=2, H=2, W=2, seed=5), 4, salt=0)
+        write_manifest(gen, out, "train")
+        loaded = load_manifest(out / "train.jsonl", num_label_classes=2)
+        widened = Dataset([f.astype(np.float64) for f in loaded.features], loaded.labels,
+                          loaded.label_mode)
+        return loaded, widened
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_train_rows_and_eval_scores_bitwise(self, datasets, baseline):
+        loaded, widened = datasets
+        model, log = train(self.CONFIG, loaded, val_dataset=loaded, baseline=baseline)
+        assert log.to_csv() == train(self.CONFIG, widened, val_dataset=widened,
+                                     baseline=baseline)[1].to_csv()
+        for mode in ("natural", "reversed", "random"):
+            scores = [evaluate(model, ds, perturbation=mode, seed=5).scores for ds in datasets]
+            assert scores[0].tobytes() == scores[1].tobytes(), mode
+
+    def test_kmeans_nodes_bitwise(self, datasets):
+        config = replace(self.CONFIG, init_strategy="kmeans")
+        nodes = [build_model(config, ds).named_parameters()["nodes"].data for ds in datasets]
+        assert nodes[0].tobytes() == nodes[1].tobytes()
 
 
 # eval scores of a desk model on 100 videos at H = W = 3, the `eval_grid`
