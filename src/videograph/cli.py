@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, gradcheck, shapes, extract-graph, report.
-Flag precedence is flags > config file > built-in defaults. Exit codes:
-0 success, 1 validation failure, 2 usage error. Only eval takes --perturb.
+Each takes only the flags it reads, listed in COMMANDS; any other flag, or a
+missing required one, is a usage error. Flag precedence is flags > config
+file > built-in defaults. Exit codes: 0 success, 1 validation failure, 2
+usage error.
 """
 
 from __future__ import annotations
@@ -14,52 +16,24 @@ from pathlib import Path
 
 from .analysis import (collect_activation_stacks, confusion_matrix, extract_activity_graph,
                        export_graph, force_layout, write_confusion_csv)
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import load_checkpoint
 from .datasets import load_manifest, write_manifest
-from .features import FeatureFileError
 from .gradsuite import GRAD_CHECK_THRESHOLD, run_gradient_suite
 from .model import shape_inference
 from .synthetic import DatasetConfig, PERTURBATION_MODES, generate_samples
-from .tensor import ShapeError
 from .training import RunConfig, evaluate, train
 
 USAGE_ERROR, VALIDATION_ERROR = 2, 1
 
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--data", help="dataset directory (train.jsonl/val.jsonl) or manifest file")
-    parser.add_argument("--checkpoint", help="checkpoint directory")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="seed override")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="videograph",
-                                     description="long-range activity recognition at desk scale")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("gen-data", "generate a synthetic activity dataset (manifests + VGFT files)"),
-        ("train", "train a model and write checkpoint + metrics.csv"),
-        ("eval", "evaluate a checkpoint, optionally with a temporal perturbation"),
-        ("gradcheck", "run the finite-difference gradient suites"),
-        ("shapes", "print per-stage shape inference for a config"),
-        ("extract-graph", "export per-class activity graphs (DOT + JSON)"),
-        ("report", "aggregate natural/reversed/random evaluation into a drop table"),
-    ]:
-        sub_parser = sub.add_parser(name, help=help_text)
-        _add_common_flags(sub_parser)
-        if name == "eval":
-            sub_parser.add_argument("--perturb", choices=PERTURBATION_MODES,
-                                    help="temporal order perturbation for evaluation")
-    return parser
-
-
-def _require(parser, args, flag: str):
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
-    if value is None:
-        parser.error(f"{flag} is required for '{args.command}'")
-    return value
+FLAGS = {
+    "--config": dict(help="JSON config file"),
+    "--data": dict(help="dataset directory (train.jsonl/val.jsonl) or manifest file"),
+    "--checkpoint": dict(help="checkpoint directory"),
+    "--out": dict(help="output directory"),
+    "--seed": dict(type=int, default=0, help="random seed (default 0)"),
+    "--perturb": dict(choices=PERTURBATION_MODES, default="natural",
+                      help="temporal order perturbation for evaluation"),
+}
 
 
 def _load_json(path) -> dict:
@@ -81,17 +55,15 @@ def _resolve_manifest(data_arg: str, split: str = "val") -> Path:
     return p
 
 
-def _load_eval_inputs(parser, args):
-    ckpt_dir = _require(parser, args, "--checkpoint")
-    data = _require(parser, args, "--data")
-    loaded = load_checkpoint(ckpt_dir)
+def _load_eval_inputs(args):
+    loaded = load_checkpoint(args.checkpoint)
     k = loaded.model.config.num_classes
-    dataset = load_manifest(_resolve_manifest(data), num_label_classes=k)
+    dataset = load_manifest(_resolve_manifest(args.data), num_label_classes=k)
     return loaded, dataset
 
 
-def cmd_gen_data(parser, args) -> int:
-    out = Path(_require(parser, args, "--out"))
+def cmd_gen_data(args) -> int:
+    out = Path(args.out)
     cfg = DatasetConfig(**_load_json(args.config)) if args.config else DatasetConfig()
     if args.seed is not None:
         cfg.seed = args.seed
@@ -105,23 +77,14 @@ def cmd_gen_data(parser, args) -> int:
     return 0
 
 
-def cmd_train(parser, args) -> int:
-    config_path = _require(parser, args, "--config")
-    out = Path(_require(parser, args, "--out"))
-    config = RunConfig.from_dict(_load_json(config_path))
+def cmd_train(args) -> int:
+    out = Path(args.out)
+    config = RunConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
         config.seed = args.seed
-
-    if args.data:
-        train_manifest = _resolve_manifest(args.data, "train")
-        val_manifest = _resolve_manifest(args.data, "val")
-    elif config.train_manifest:
-        train_manifest = Path(config.train_manifest)
-        val_manifest = Path(config.val_manifest) if config.val_manifest else None
-    else:
-        parser.error("--data is required for 'train' (no train_manifest in config)")
-    train_ds = load_manifest(train_manifest, num_label_classes=config.num_classes)
-    val_ds = load_manifest(val_manifest, num_label_classes=config.num_classes) if val_manifest else None
+    train_ds, val_ds = (load_manifest(_resolve_manifest(args.data, split),
+                                      num_label_classes=config.num_classes)
+                        for split in ("train", "val"))
 
     model = optimizer = None
     start_epoch = 0
@@ -138,25 +101,25 @@ def cmd_train(parser, args) -> int:
     return 0
 
 
-def cmd_eval(parser, args) -> int:
-    loaded, dataset = _load_eval_inputs(parser, args)
-    perturbation = args.perturb or "natural"
-    seed = args.seed if args.seed is not None else 0
-    result = evaluate(loaded.model, dataset, perturbation=perturbation, seed=seed)
-    print(f"{result.metric_name} ({perturbation} order): {result.metric:.4f}")
-    if args.out and dataset.label_mode == "single":
+def cmd_eval(args) -> int:
+    loaded, dataset = _load_eval_inputs(args)
+    if args.out and dataset.label_mode != "single":
+        raise ValueError(f"--out writes a confusion matrix, which needs single-label data; "
+                         f"the dataset is {dataset.label_mode}-label")
+    result = evaluate(loaded.model, dataset, perturbation=args.perturb, seed=args.seed)
+    print(f"{result.metric_name} ({args.perturb} order): {result.metric:.4f}")
+    if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         counts = confusion_matrix(result.predictions, result.labels,
                                   loaded.model.config.num_classes)
-        write_confusion_csv(counts, out / f"confusion_{perturbation}.csv")
-        print(f"confusion matrix written to {out / f'confusion_{perturbation}.csv'}")
+        write_confusion_csv(counts, out / f"confusion_{args.perturb}.csv")
+        print(f"confusion matrix written to {out / f'confusion_{args.perturb}.csv'}")
     return 0
 
 
-def cmd_gradcheck(parser, args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    results = run_gradient_suite(seed=seed)
+def cmd_gradcheck(args) -> int:
+    results = run_gradient_suite(seed=args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:28s} max_rel_err={r.max_error:.3e}")
     failures = [r for r in results if not r.passed]
@@ -168,36 +131,33 @@ def cmd_gradcheck(parser, args) -> int:
     return 0
 
 
-def cmd_shapes(parser, args) -> int:
-    config_path = _require(parser, args, "--config")
-    config = RunConfig.from_dict(_load_json(config_path)).model_config()
+def cmd_shapes(args) -> int:
+    config = RunConfig.from_dict(_load_json(args.config)).model_config()
     for name, shape in shape_inference(config):
         print(f"{name:20s} {shape}")
     return 0
 
 
-def cmd_extract_graph(parser, args) -> int:
-    loaded, dataset = _load_eval_inputs(parser, args)
-    out = Path(_require(parser, args, "--out"))
-    seed = args.seed if args.seed is not None else 0
+def cmd_extract_graph(args) -> int:
+    loaded, dataset = _load_eval_inputs(args)
+    out = Path(args.out)
     stacks = collect_activation_stacks(loaded.model, dataset)
     out.mkdir(parents=True, exist_ok=True)
     for class_id, stack in stacks.items():
         graph = extract_activity_graph(stack, class_id=class_id)
-        graph.positions = force_layout(graph, seed=seed)
+        graph.positions = force_layout(graph, seed=args.seed)
         export_graph(graph, "dot", out / f"class_{class_id}.dot")
         export_graph(graph, "json", out / f"class_{class_id}.json")
     print(f"wrote {len(stacks)} class graphs to {out}")
     return 0
 
 
-def cmd_report(parser, args) -> int:
-    loaded, dataset = _load_eval_inputs(parser, args)
-    seed = args.seed if args.seed is not None else 0
+def cmd_report(args) -> int:
+    loaded, dataset = _load_eval_inputs(args)
     rows = []
     natural = None
     for mode in PERTURBATION_MODES:
-        result = evaluate(loaded.model, dataset, perturbation=mode, seed=seed)
+        result = evaluate(loaded.model, dataset, perturbation=mode, seed=args.seed)
         if mode == "natural":
             natural = result.metric
         drop = 0.0 if natural in (None, 0.0) else (natural - result.metric) / natural * 100.0
@@ -217,25 +177,45 @@ def cmd_report(parser, args) -> int:
     return 0
 
 
-HANDLERS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "gradcheck": cmd_gradcheck,
-    "shapes": cmd_shapes,
-    "extract-graph": cmd_extract_graph,
-    "report": cmd_report,
+# Each subcommand's handler, help and the flags it reads; * marks a required flag.
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate a synthetic activity dataset (manifests + VGFT files)",
+                 "--config --out* --seed"),
+    "train": (cmd_train, "train a model and write checkpoint + metrics.csv",
+              "--config* --data* --checkpoint --out* --seed"),
+    "eval": (cmd_eval, "evaluate a checkpoint, optionally with a temporal perturbation",
+             "--checkpoint* --data* --out --seed --perturb"),
+    "gradcheck": (cmd_gradcheck, "run the finite-difference gradient suites", "--seed"),
+    "shapes": (cmd_shapes, "print per-stage shape inference for a config", "--config*"),
+    "extract-graph": (cmd_extract_graph, "export per-class activity graphs (DOT + JSON)",
+                      "--checkpoint* --data* --out* --seed"),
+    "report": (cmd_report, "aggregate natural/reversed/random evaluation into a drop table",
+               "--checkpoint* --data* --out --seed"),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="videograph",
+                                     description="long-range activity recognition at desk scale")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, help_text, flags) in COMMANDS.items():
+        sub_parser = sub.add_parser(command, help=help_text)
+        sub_parser.set_defaults(handler=handler)
+        for flag in flags.split():
+            name = flag.rstrip("*")
+            options = dict(FLAGS[name], required=flag != name)
+            if name == "--seed" and "--config" in flags:
+                options.update(default=None, help="overrides the config file's seed")
+            sub_parser.add_argument(name, **options)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return HANDLERS[args.command](parser, args)
-    except (ValueError, TypeError, ShapeError, FeatureFileError, CheckpointError,
-            FloatingPointError, RuntimeError, FileNotFoundError, KeyError,
-            json.JSONDecodeError) as exc:
+        return args.handler(args)
+    except (ValueError, TypeError, FloatingPointError, RuntimeError, FileNotFoundError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

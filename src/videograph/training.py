@@ -33,7 +33,7 @@ INIT_ONLY_FIELDS = ("seed", "init_strategy")
 
 @dataclass
 class RunConfig(VideoGraphConfig):
-    """A model config plus the optimisation and data settings of one run."""
+    """A model config plus the optimisation settings of one run."""
 
     # optimization
     epochs: int = 200
@@ -41,9 +41,6 @@ class RunConfig(VideoGraphConfig):
     learning_rate: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-5
-    # data
-    train_manifest: str | None = None
-    val_manifest: str | None = None
 
     def model_config(self) -> VideoGraphConfig:
         return VideoGraphConfig(**{name: getattr(self, name) for name in MODEL_FIELDS})
@@ -173,9 +170,13 @@ def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int =
     return EvalResult(name, metric, scores, scores.argmax(axis=1), dataset.labels)
 
 
-def _check_labels(dataset: Dataset, num_classes: int, name: str) -> None:
-    """Reject labels the classifier's num_classes outputs cannot score."""
-    labels = dataset.labels
+def _check_labels(dataset: Dataset, config: RunConfig, name: str) -> None:
+    """Reject a dataset of another label_mode, or labels the classifier's
+    num_classes outputs cannot score."""
+    if dataset.label_mode != config.label_mode:
+        raise ValueError(f"{name} dataset is {dataset.label_mode}-label but config key "
+                         f"'label_mode' is {config.label_mode!r}")
+    labels, num_classes = dataset.labels, config.num_classes
     if dataset.label_mode == "multi":
         if labels.shape[1:] != (num_classes,):
             raise ValueError(f"{name} dataset has multi-label rows of shape {labels.shape[1:]} "
@@ -214,9 +215,6 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset | None
     if config.epochs < 1 or config.batch_size < 1:
         raise ValueError(f"epochs and batch_size must be positive; got "
                          f"{config.epochs}, {config.batch_size}")
-    if config.label_mode != train_dataset.label_mode:
-        raise ValueError(f"config is {config.label_mode}-label but the dataset is "
-                         f"{train_dataset.label_mode}-label")
     if start_epoch >= config.epochs:
         raise ValueError(f"nothing to train: resumed at epoch {start_epoch} with "
                          f"config.epochs={config.epochs}")
@@ -228,7 +226,7 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset | None
                                  f"has {want!r}")
     for name, dataset in (("train", train_dataset), ("val", val_dataset)):
         if dataset is not None:
-            _check_labels(dataset, config.num_classes, name)
+            _check_labels(dataset, config, name)
     if val_dataset is None:
         train_dataset, val_dataset = train_dataset.split(seed=config.seed)
 

@@ -12,6 +12,30 @@ from videograph.model import MODEL_FIELDS
 from videograph.training import RunConfig, train
 
 
+# The flags each subcommand reads, as the README's CLI table lists them;
+# * marks a required flag.
+SURFACE = {
+    "gen-data": "--config --out* --seed",
+    "train": "--config* --data* --checkpoint --out* --seed",
+    "eval": "--checkpoint* --data* --out --seed --perturb",
+    "gradcheck": "--seed",
+    "shapes": "--config*",
+    "extract-graph": "--checkpoint* --data* --out* --seed",
+    "report": "--checkpoint* --data* --out --seed",
+}
+ALL_FLAGS = ("--config", "--data", "--checkpoint", "--out", "--seed", "--perturb")
+
+
+def flag_argv(*flags):
+    """Each flag with a value it accepts."""
+    values = {"--seed": "1", "--perturb": "random"}
+    return [arg for flag in flags for arg in (flag, values.get(flag, "x"))]
+
+
+def required_flags(command):
+    return [flag.rstrip("*") for flag in SURFACE[command].split() if flag.endswith("*")]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -55,22 +79,24 @@ class TestUsageErrors:
         assert "usage" in capsys.readouterr().err.lower()
 
     def test_missing_config_names_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["shapes"])
-        assert exc.value.code == 2
-        assert "--config" in capsys.readouterr().err
+        for command in SURFACE:
+            for flag in required_flags(command):
+                others = [f for f in required_flags(command) if f != flag]
+                with pytest.raises(SystemExit) as exc:
+                    main([command, *flag_argv(*others)])
+                assert exc.value.code == 2
+                assert f"arguments are required: {flag}" in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self, capsys):
-        # --perturb belongs to eval alone; every other subcommand rejects it
-        perturb = ["--perturb", "random"]
-        for argv in (["shapes", "--config", "x.json", "--frobnicate"],
-                     ["train", "--config", "x.json", "--out", "y", *perturb],
-                     ["gen-data", *perturb], ["gradcheck", *perturb], ["shapes", *perturb],
-                     ["extract-graph", *perturb], ["report", *perturb]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+        # argparse reports a missing required flag first, so each argv has them all
+        for command, reads in SURFACE.items():
+            for flag in ("--frobnicate", *ALL_FLAGS):
+                if flag in reads.replace("*", "").split():
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    main([command, *flag_argv(*required_flags(command), flag)])
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_bad_perturb_value(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -95,7 +121,8 @@ class TestValidationErrors:
     def test_unknown_config_key_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         # a key removed from RunConfig is as unknown as a misspelt one
-        for key, value in (("TT", 8), ("eval_perturbation", "natural")):
+        for key, value in (("TT", 8), ("eval_perturbation", "natural"),
+                           ("train_manifest", "train.jsonl"), ("val_manifest", None)):
             cfg.write_text(json.dumps({key: value}))
             code, _, err = run_cli(capsys, "shapes", "--config", str(cfg))
             assert code == 1
@@ -108,8 +135,9 @@ class TestValidationErrors:
     def test_wrong_config_type_exits_one(self, capsys, tmp_path, command, config, key):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))
-        code, _, err = run_cli(capsys, command, "--config", str(cfg), "--data", str(tmp_path),
-                               "--out", str(tmp_path / "out"))
+        data_flags = (("--data", str(tmp_path), "--out", str(tmp_path / "out"))
+                      if command == "train" else ())
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), *data_flags)
         assert code == 1
         assert f"config key {key!r}" in err
         assert not (tmp_path / "out").exists()
@@ -313,6 +341,25 @@ class TestTrainEvalReport:
         assert code == 0
         conf = (tmp_path / "eval" / "confusion_natural.csv").read_text().splitlines()
         assert len(conf) == 5  # header + 4 classes
+
+    def test_eval_out_on_multi_label_exits_one_before_scoring(self, capsys, tmp_path, monkeypatch):
+        data_cfg = tmp_path / "data.json"
+        data_cfg.write_text(json.dumps({"num_classes": 2, "label_mode": "multi",
+                                        "train_videos_per_class": 2, "val_videos_per_class": 2,
+                                        "seed": 1}))
+        assert main(["gen-data", "--config", str(data_cfg), "--out", str(tmp_path / "data")]) == 0
+        ds = load_manifest(tmp_path / "data" / "train.jsonl", num_label_classes=4)
+        train(RunConfig(num_classes=4, label_mode="multi", epochs=1, seed=1), ds, ds,
+              out_dir=tmp_path / "run")
+        from videograph import cli
+        scored = []
+        monkeypatch.setattr(cli, "evaluate", lambda *args, **kwargs: scored.append(args))
+        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                               "--data", str(tmp_path / "data"), "--out", str(tmp_path / "eval"))
+        assert code == 1
+        assert "--out" in err and "single-label" in err
+        assert scored == []
+        assert not (tmp_path / "eval").exists()
 
     def test_bad_checkpoint_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--checkpoint", str(tmp_path / "nope"),

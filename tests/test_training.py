@@ -377,25 +377,31 @@ class TestTrainingLoop:
             train(RunConfig(), Dataset(features=[], labels=np.zeros(0, dtype=np.int64),
                                        label_mode="single"))
 
-    @pytest.mark.parametrize("which, labels, message", [
-        ("train", [0, 1, 2, 1], "train dataset label 2 is outside [0, 2) for num_classes 2"),
-        ("train", [0, -1, 1, 5], "train dataset label -1 is outside [0, 2) for num_classes 2"),
-        ("val", [0, 1, 1, 3], "val dataset label 3 is outside [0, 2) for num_classes 2"),
-        ("val", np.eye(4, 3, dtype=np.int64),
+    @pytest.mark.parametrize("which, labels, config_mode, message", [
+        ("train", [0, 1, 2, 1], "single",
+         "train dataset label 2 is outside [0, 2) for num_classes 2"),
+        ("train", [0, -1, 1, 5], "single",
+         "train dataset label -1 is outside [0, 2) for num_classes 2"),
+        ("val", [0, 1, 1, 3], "single", "val dataset label 3 is outside [0, 2) for num_classes 2"),
+        ("val", np.eye(4, 3, dtype=np.int64), "multi",
          "val dataset has multi-label rows of shape (3,) but num_classes is 2"),
-        ("train", np.eye(4, 1, dtype=np.int64),
-         "train dataset has multi-label rows of shape (1,) but num_classes is 2")],
-        ids=["train-above", "train-negative", "val-above", "val-multi-width", "train-multi-width"])
-    def test_labels_checked_before_a_model_is_built(self, monkeypatch, which, labels, message):
+        ("train", np.eye(4, 1, dtype=np.int64), "multi",
+         "train dataset has multi-label rows of shape (1,) but num_classes is 2"),
+        ("val", np.eye(4, 2, dtype=np.int64), "single",
+         "val dataset is multi-label but config key 'label_mode' is 'single'")],
+        ids=["train-above", "train-negative", "val-above", "val-multi-width", "train-multi-width",
+             "val-other-mode"])
+    def test_labels_checked_before_a_model_is_built(self, monkeypatch, which, labels, config_mode,
+                                                    message):
         built = []
         monkeypatch.setattr(training, "build_model", lambda *args, **kwargs: built.append(args))
         ds, _ = tiny_dataset(num_classes=2, per_class=2)
         labels = np.asarray(labels)
-        mode = "multi" if labels.ndim == 2 else "single"
-        good = Dataset(ds.features, np.eye(4, 2, dtype=np.int64) if mode == "multi" else ds.labels,
-                       mode)
-        bad = Dataset(ds.features, labels, mode)
-        config = RunConfig(num_classes=2, epochs=1, label_mode=mode)
+        good = Dataset(ds.features,
+                       np.eye(4, 2, dtype=np.int64) if config_mode == "multi" else ds.labels,
+                       config_mode)
+        bad = Dataset(ds.features, labels, "multi" if labels.ndim == 2 else "single")
+        config = RunConfig(num_classes=2, epochs=1, label_mode=config_mode)
         with pytest.raises(ValueError, match=re.escape(message)):
             train(config, *((bad, good) if which == "train" else (good, bad)))
         assert built == []
@@ -550,15 +556,15 @@ class TestRunConfig:
     @pytest.mark.parametrize("key, value, want", [
         ("N", 8.5, "int"), ("T", "16", "int"), ("batch_size", 2.5, "int"),
         ("num_classes", True, "int"), ("learning_rate", "0.1", "float"),
-        ("sigma_kind", 1, "str"), ("train_manifest", 3, "str | None")])
+        ("sigma_kind", 1, "str")])
     def test_wrong_type_names_key(self, key, value, want):
         with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be {want}; "
                                                        f"got {value!r}")):
             RunConfig.from_dict({key: value})
 
     def test_int_is_a_float(self):
-        cfg = RunConfig.from_dict({"learning_rate": 1, "weight_decay": 0, "val_manifest": None})
-        assert (cfg.learning_rate, cfg.weight_decay, cfg.val_manifest) == (1, 0, None)
+        cfg = RunConfig.from_dict({"learning_rate": 1, "weight_decay": 0})
+        assert (cfg.learning_rate, cfg.weight_decay) == (1, 0)
 
     @pytest.mark.parametrize("key, value", [("batch_size", 2.5), ("epochs", 1.5)])
     def test_train_checks_types_before_building_a_model(self, monkeypatch, key, value):
