@@ -117,24 +117,26 @@ def force_layout(graph: ExtractedGraph, iterations: int = 500, seed: int = 0) ->
 
     Ideal length k = sqrt(area / N') with unit area; the temperature cools
     linearly to zero. Deterministic given the seed.
+
+    Each step computes every pair's force at once. Node i's displacement sums
+    its pairs' terms in partner order, with the pair (i, j) weighted by
+    edge_weights[min(i, j), max(i, j)].
     """
     n = graph.node_importance.shape[0]
     if n == 1:
         return np.zeros((1, 2))
-    weights = np.asarray(graph.edge_weights, dtype=np.float64)
+    upper = np.triu(np.asarray(graph.edge_weights, dtype=np.float64), 1)
+    weights = upper + upper.T
     pos = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 2))
     k = np.sqrt(1.0 / n)
     t0 = 0.1
     for step in range(iterations):
-        disp = np.zeros_like(pos)
-        for i in range(n):
-            for j in range(i + 1, n):
-                delta = pos[i] - pos[j]
-                dist = max(np.sqrt((delta ** 2).sum()), 1e-9)
-                unit = delta / dist
-                force = (k * k / dist) - weights[i, j] * (dist * dist / k)
-                disp[i] += unit * force
-                disp[j] -= unit * force
+        delta = pos[:, None, :] - pos[None, :, :]                     # (n, n, 2)
+        dist = np.maximum(np.sqrt((delta ** 2).sum(axis=2)), 1e-9)   # (n, n)
+        unit = delta / dist[..., None]
+        force = (k * k / dist) - weights * (dist * dist / k)
+        np.fill_diagonal(force, 0.0)
+        disp = (unit * force[..., None]).sum(axis=1)
         temp = t0 * (1.0 - step / iterations)
         lengths = np.maximum(np.sqrt((disp ** 2).sum(axis=1, keepdims=True)), 1e-9)
         pos = pos + disp / lengths * np.minimum(lengths, temp)
@@ -210,14 +212,3 @@ def export_graph(graph: ExtractedGraph, fmt: str, path) -> None:
         path.write_text(json.dumps(doc, indent=2) + "\n")
     else:
         raise ValueError(f"unknown export format {fmt!r} (expected 'dot' or 'json')")
-
-
-def load_graph_json(path) -> ExtractedGraph:
-    doc = json.loads(Path(path).read_text())
-    positions = doc.get("positions")
-    return ExtractedGraph(
-        node_importance=np.array(doc["node_importance"], dtype=np.float64),
-        edge_weights=np.array(doc["edge_weights"], dtype=np.float64),
-        class_id=int(doc["class_id"]),
-        positions=None if positions is None else np.array(positions, dtype=np.float64),
-    )

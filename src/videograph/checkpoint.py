@@ -110,7 +110,6 @@ class LoadedCheckpoint:
     optimizer: SgdMomentum
     epoch: int
     config: dict
-    model_type: str
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
@@ -157,4 +156,4 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         for bn in model.bn_states().values():
             bn.initialized = True
     return LoadedCheckpoint(model=model, optimizer=optimizer, epoch=manifest["epoch"],
-                            config=snapshot, model_type=model_type)
+                            config=snapshot)

@@ -40,7 +40,13 @@ def _load_json(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
-    return json.loads(p.read_text())
+    try:
+        config = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {p} must hold a JSON object: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {p} must hold a JSON object, not a {type(config).__name__}")
+    return config
 
 
 def _resolve_manifest(data_arg: str, split: str = "val") -> Path:
@@ -82,9 +88,11 @@ def cmd_train(args) -> int:
     config = RunConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
         config.seed = args.seed
-    train_ds, val_ds = (load_manifest(_resolve_manifest(args.data, split),
-                                      num_label_classes=config.num_classes)
-                        for split in ("train", "val"))
+    train_path, val_path = (_resolve_manifest(args.data, split) for split in ("train", "val"))
+    train_ds = load_manifest(train_path, num_label_classes=config.num_classes)
+    # a manifest file named by --data serves as both splits: read it once
+    val_ds = (train_ds if val_path == train_path
+              else load_manifest(val_path, num_label_classes=config.num_classes))
 
     model = optimizer = None
     start_epoch = 0

@@ -3,7 +3,7 @@
 Update rule, per parameter:
     v <- momentum * v + (grad + weight_decay * theta)
     theta <- theta - lr * v
-Gradients are zeroed after the step.
+Gradients are an argument of the step: the dict `Tape.backward` returns.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ class SgdMomentum:
         self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
-    def step(self) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+        """Update every parameter from grads[param]; grads is only read."""
+        missing = [name for name, p in self.params.items() if p not in grads]
+        if missing:
+            raise RuntimeError(f"parameters {missing} have no gradient; pass Tape.backward's result")
         for name, p in self.params.items():
-            if p.grad is None:
-                raise RuntimeError(f"parameter {name!r} has no gradient; run backward first")
             v = self.velocity[name]
             v *= self.momentum
-            v += p.grad + self.weight_decay * p.data
+            v += grads[p] + self.weight_decay * p.data
             p.data -= self.learning_rate * v
-            p.grad = None

@@ -3,9 +3,10 @@
 Implements exactly the operations the video-graph pipeline needs, on top of
 numpy arrays. Gradients are recorded on a tape and replayed in reverse
 execution order; broadcasting is supported for elementwise ops via gradient
-unbroadcasting. The reverse pass stores `.grad` on leaves only: tensors that
-no recorded op produced, such as parameters and inputs. An op output's
-gradient is dropped as soon as its op has consumed it.
+unbroadcasting. Gradients are return values, not tensor state: the reverse
+pass returns a dict from each leaf it reaches (a tensor that no recorded op
+produced, such as a parameter or an input) to that leaf's gradient. An op
+output's gradient is dropped as soon as its op has consumed it.
 
 Conventions fixed here so results are reproducible:
   * relu gradient at 0 is 0;
@@ -30,14 +31,14 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense float64 nd-array with an optional gradient buffer.
+    """A dense float64 nd-array, optionally marked as requiring a gradient.
 
     Every input is stored as float64, the precision all ops compute in.
     Loaded float32 features widen here, and only here; float32 values embed
     exactly in float64, so the widening moves no bit.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -45,7 +46,6 @@ class Tensor:
             raise ValueError("tensor contains non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = None
 
     @property
     def shape(self) -> tuple:
@@ -61,17 +61,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if g.shape != self.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {self.data.shape}")
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad = self.grad + g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -91,7 +80,6 @@ def _op_output(arr) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = arr if type(arr) is np.ndarray else np.asarray(arr)
     out.requires_grad = False
-    out.grad = None
     return out
 
 
@@ -153,35 +141,32 @@ class Tape:
         output.requires_grad = True
         self.ops.append(_TapeOp(output, inputs, backward_fn))
 
-    def backward(self, loss: Tensor) -> None:
-        """Populate .grad for every requires_grad leaf reachable from loss.
+    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+        """The gradient of loss for every requires_grad leaf it reaches, keyed by leaf.
 
-        A leaf is a tensor that no op on this tape produced. Op outputs keep
-        .grad untouched: each one's gradient is dropped once its op has
-        consumed it. Repeated calls without zeroing grads accumulate.
+        A leaf is a tensor that no op on this tape produced; op outputs are
+        absent, each one's gradient dropped once its op has consumed it. The
+        arrays are the ones the backward functions produced, uncopied, and one
+        array may serve two leaves, so callers must not write into them.
         """
         if loss.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
         for op in reversed(self.ops):
-            g_out = grads.pop(id(op.output), None)
+            g_out = grads.pop(op.output, None)
             if g_out is None:
                 continue
-            contributions = op.backward_fn(g_out)
-            for inp, g_in in zip(op.inputs, contributions):
-                if g_in is None:
-                    continue
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + g_in
-                else:
-                    grads[key] = g_in
-                    holders[key] = inp
-        for key, g in grads.items():
-            tensor = holders[key]
+            for inp, g_in in zip(op.inputs, op.backward_fn(g_out)):
+                if g_in is not None:
+                    grads[inp] = grads[inp] + g_in if inp in grads else g_in
+        leaves = {}
+        for tensor, g in grads.items():
             if tensor.requires_grad:
-                tensor.accumulate_grad(np.asarray(g))
+                g = np.asarray(g)
+                if g.shape != tensor.shape:
+                    raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {tensor.shape}")
+                leaves[tensor] = g
+        return leaves
 
 
 def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
@@ -645,18 +630,12 @@ def loss(predictions: Tensor, targets, mode: str) -> Tensor:
 def tape_gradients(f: Callable[[], Tensor], tensors: Sequence[Tensor]) -> list[np.ndarray]:
     """Gradients of scalar f() with respect to each tensor, from one taped call.
 
-    A tensor no gradient reaches gets zeros. Every tensor's .grad is cleared
-    before and after, so the call leaves no gradient behind.
+    The gradients are `Tape.backward`'s return value; a tensor no gradient
+    reaches gets zeros.
     """
-    for t in tensors:
-        t.zero_grad()
-    try:
-        with Tape() as tape:
-            tape.backward(f())
-        return [np.zeros_like(t.data) if t.grad is None else t.grad for t in tensors]
-    finally:
-        for t in tensors:
-            t.zero_grad()
+    with Tape() as tape:
+        grads = tape.backward(f())
+    return [grads[t] if t in grads else np.zeros_like(t.data) for t in tensors]
 
 
 FD_STEP = 1e-5
@@ -672,17 +651,18 @@ def grad_check(f: Callable[[], Tensor] | Sequence[Callable[[], Tensor]],
 
     `f` is one function for every tensor, or a sequence of one function per
     tensor: tensors[i] is then checked against f[i] alone, and the tensors
-    that share a function get their tape gradients from one taped call.
+    that share a function get their tape gradients from one taped call, read
+    from the dict `Tape.backward` returns.
     """
     losses = [f] * len(tensors) if callable(f) else list(f)
     analytic = {}
     for loss in dict.fromkeys(losses):
         group = [t for t, t_loss in zip(tensors, losses) if t_loss is loss]
-        analytic.update(zip(map(id, group), tape_gradients(loss, group)))
+        analytic.update(zip(group, tape_gradients(loss, group)))
 
     worst = 0.0
     for t, loss in zip(tensors, losses):
-        a = analytic[id(t)]
+        a = analytic[t]
         if not t.data.flags["C_CONTIGUOUS"]:
             t.data = np.ascontiguousarray(t.data)
         flat = t.data.reshape(-1)   # view: in-place writes perturb t.data

@@ -128,9 +128,7 @@ def _epoch_pass(model, dataset: Dataset, batch_size: int, order: np.ndarray,
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {start // batch_size}")
             if optimizer is not None:
-                tape.backward(batch_loss)
-        if optimizer is not None:
-            optimizer.step()
+                optimizer.step(tape.backward(batch_loss))
         losses.append(value)
         all_scores.append(scores)
         all_idx.append(idx)

@@ -1,5 +1,7 @@
 """Shared brute-force oracles used by both unit and acceptance tests."""
 
+import numpy as np
+
 
 def brute_force_average_precision(scores, positives):
     """Walk the ranked list by definition: precision at each positive times
@@ -22,3 +24,27 @@ def brute_force_map(scores, labels):
             aps.append(brute_force_average_precision(scores[:, k].tolist(),
                                                      labels[:, k].tolist()))
     return sum(aps) / len(aps)
+
+
+def loop_force_layout(edge_weights, iterations, seed):
+    """Fruchterman-Reingold by a double loop over node pairs (i < j), reading
+    edge_weights[i, j]; the reference for `analysis.force_layout`."""
+    weights = np.asarray(edge_weights, dtype=np.float64)
+    n = weights.shape[0]
+    pos = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 2))
+    k = np.sqrt(1.0 / n)
+    t0 = 0.1
+    for step in range(iterations):
+        disp = np.zeros_like(pos)
+        for i in range(n):
+            for j in range(i + 1, n):
+                delta = pos[i] - pos[j]
+                dist = max(np.sqrt((delta ** 2).sum()), 1e-9)
+                unit = delta / dist
+                force = (k * k / dist) - weights[i, j] * (dist * dist / k)
+                disp[i] += unit * force
+                disp[j] -= unit * force
+        temp = t0 * (1.0 - step / iterations)
+        lengths = np.maximum(np.sqrt((disp ** 2).sum(axis=1, keepdims=True)), 1e-9)
+        pos = pos + disp / lengths * np.minimum(lengths, temp)
+    return pos

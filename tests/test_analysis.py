@@ -1,13 +1,17 @@
 """Node-distance tracking, graph extraction, layout, confusion, export."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from videograph.analysis import (ActivationStack, ExtractedGraph, collect_activation_stacks,
                                  confusion_matrix, extract_activity_graph, export_graph,
-                                 force_layout, graph_to_dot, load_graph_json,
-                                 track_node_distances, write_confusion_csv)
+                                 force_layout, graph_to_dot, track_node_distances,
+                                 write_confusion_csv)
+
+from oracles import loop_force_layout
 
 
 class TestNodeDistances:
@@ -134,6 +138,16 @@ class TestForceLayout:
         centroid_init = init.mean(axis=0)
         np.testing.assert_allclose(pos.mean(axis=0), centroid_init, atol=1e-6)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 14])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_pair_loop(self, n, seed):
+        rng = np.random.default_rng((n, seed))
+        # asymmetric on purpose: each pair reads the weight above the diagonal
+        graph = ExtractedGraph(node_importance=rng.uniform(size=n),
+                               edge_weights=rng.uniform(0.0, 3.0, size=(n, n)), class_id=0)
+        pos = force_layout(graph, iterations=100, seed=seed)
+        assert pos.tobytes() == loop_force_layout(graph.edge_weights, 100, seed).tobytes()
+
     def test_same_seed_bitwise_identical(self):
         a = force_layout(self._two_node_graph(), seed=7)
         b = force_layout(self._two_node_graph(), seed=7)
@@ -208,11 +222,12 @@ class TestExport:
         graph = hand_graph()
         graph.positions = np.array([[0.1, -0.2], [0.3, 0.4], [-0.5, 0.6]])
         export_graph(graph, "json", tmp_path / "g.json")
-        loaded = load_graph_json(tmp_path / "g.json")
-        assert loaded.class_id == 7
-        np.testing.assert_allclose(loaded.node_importance, graph.node_importance, atol=1e-12)
-        np.testing.assert_allclose(loaded.edge_weights, graph.edge_weights, atol=1e-12)
-        np.testing.assert_allclose(loaded.positions, graph.positions, atol=1e-12)
+        doc = json.loads((tmp_path / "g.json").read_text())
+        assert doc.keys() == {"class_id", "node_importance", "edge_weights", "positions"}
+        assert doc["class_id"] == 7
+        assert doc["node_importance"] == graph.node_importance.tolist()
+        assert doc["edge_weights"] == graph.edge_weights.tolist()
+        assert doc["positions"] == graph.positions.tolist()
 
     def test_dot_matches_frozen_fixture(self):
         assert graph_to_dot(hand_graph()) == EXPECTED_DOT

@@ -20,8 +20,8 @@ class TestClosedFormGradients:
     def test_sigmoid_derivative_at_zero(self):
         x = Tensor(np.zeros((1, 1)), requires_grad=True)
         with Tape() as tape:
-            tape.backward(tz.mean(tz.sigmoid(x), axes=(0, 1)))
-        np.testing.assert_allclose(x.grad, 0.25, atol=1e-15)
+            grads = tape.backward(tz.mean(tz.sigmoid(x), axes=(0, 1)))
+        np.testing.assert_allclose(grads[x], 0.25, atol=1e-15)
 
     def test_matmul_grad_with_ones_upstream(self):
         rng = np.random.default_rng(0)
@@ -30,11 +30,11 @@ class TestClosedFormGradients:
         with Tape() as tape:
             c = tz.matmul(a, b)
             total = tz.mean(tz.reshape(c, (c.size,)), axes=0)
-            tape.backward(total)
+            grads = tape.backward(total)
         # mean upstream of 1/size each: scale the all-ones identity by it
         ones = np.ones((3, 2)) / c.size
-        np.testing.assert_allclose(a.grad, ones @ b.data.T, atol=1e-12)
-        np.testing.assert_allclose(b.grad, a.data.T @ ones, atol=1e-12)
+        np.testing.assert_allclose(grads[a], ones @ b.data.T, atol=1e-12)
+        np.testing.assert_allclose(grads[b], a.data.T @ ones, atol=1e-12)
         err = grad_check(lambda: tz.mean(tz.reshape(tz.matmul(a, b), (6,)), axes=0), [a, b])
         assert err <= 1e-9  # linear function: finite differences are exact
 
@@ -42,53 +42,35 @@ class TestClosedFormGradients:
         x = Tensor(np.array([1.0, 5.0, 2.0, 9.0, 0.0, 3.0]), requires_grad=True)
         with Tape() as tape:
             pooled = tz.max_pool(x, (0,))
-            tape.backward(tz.mean(pooled, axes=0))
-        np.testing.assert_array_equal(x.grad, [0.0, 0.5, 0.0, 0.5, 0.0, 0.0])
+            grads = tape.backward(tz.mean(pooled, axes=0))
+        np.testing.assert_array_equal(grads[x], [0.0, 0.5, 0.0, 0.5, 0.0, 0.0])
 
     def test_max_pool_ties_route_to_lowest_index(self):
         x = Tensor(np.array([7.0, 7.0, 7.0]), requires_grad=True)
         with Tape() as tape:
-            tape.backward(tz.mean(tz.max_pool(x, (0,)), axes=0))
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
+            grads = tape.backward(tz.mean(tz.max_pool(x, (0,)), axes=0))
+        np.testing.assert_array_equal(grads[x], [1.0, 0.0, 0.0])
 
     def test_relu_gradient_at_zero_is_zero(self):
         x = Tensor(np.array([0.0, -1.0, 2.0]), requires_grad=True)
         with Tape() as tape:
-            tape.backward(tz.mean(tz.relu(x), axes=0))
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0 / 3.0])
-
-    def test_repeated_backward_accumulates(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        with Tape() as tape:
-            y = tz.mul(x, x)
-            total = tz.mean(y, axes=0)
-            tape.backward(total)
-            tape.backward(total)
-        np.testing.assert_allclose(x.grad, [8.0])  # 2 * (2x)
+            grads = tape.backward(tz.mean(tz.relu(x), axes=0))
+        np.testing.assert_array_equal(grads[x], [0.0, 0.0, 1.0 / 3.0])
 
 
 class KeepIntermediatesTape(Tape):
-    """Oracle: the reverse pass that also stored .grad on every op output."""
+    """Oracle: the reverse pass that returns every tensor's gradient, op outputs too."""
 
     def backward(self, loss):
-        grads = {id(loss): np.ones_like(loss.data)}
-        holders = {id(loss): loss}
+        grads = {loss: np.ones_like(loss.data)}
         for op in reversed(self.ops):
-            g_out = grads.get(id(op.output))
+            g_out = grads.get(op.output)
             if g_out is None:
                 continue
             for inp, g_in in zip(op.inputs, op.backward_fn(g_out)):
-                if g_in is None:
-                    continue
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + g_in
-                else:
-                    grads[key] = g_in
-                    holders[key] = inp
-        for key, tensor in holders.items():
-            if tensor.requires_grad:
-                tensor.accumulate_grad(np.asarray(grads[key]))
+                if g_in is not None:
+                    grads[inp] = grads[inp] + g_in if inp in grads else g_in
+        return grads
 
 
 class TestLeafOnlyGradients:
@@ -96,45 +78,56 @@ class TestLeafOnlyGradients:
         x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
         with Tape() as tape:
             total = tz.mean(tz.relu(tz.mul(x, x)), axes=0)
-            tape.backward(total)
+            grads = tape.backward(total)
         assert len(tape.ops) == 3
-        assert all(op.output.grad is None for op in tape.ops)
-        np.testing.assert_allclose(x.grad, 2.0 * x.data / 3.0, atol=1e-15)
+        assert all(op.output not in grads for op in tape.ops)
+        np.testing.assert_allclose(grads[x], 2.0 * x.data / 3.0, atol=1e-15)
 
     def test_fan_out_intermediate_sums_into_leaf(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with Tape() as tape:
             y = tz.mul(x, Tensor(np.full(2, 3.0)))
             z = tz.add(tz.mul(y, y), y)          # y feeds two ops
-            tape.backward(tz.mean(z, axes=0))
-        assert y.grad is None
+            grads = tape.backward(tz.mean(z, axes=0))
+        assert y not in grads
         # d/dx mean(9x^2 + 3x) = (18x + 3) / 2
-        np.testing.assert_array_equal(x.grad, (18.0 * x.data + 3.0) / 2.0)
+        np.testing.assert_array_equal(grads[x], (18.0 * x.data + 3.0) / 2.0)
 
     def test_leaf_loss_gets_ones(self):
         loss = Tensor(np.array(2.5), requires_grad=True)
         with Tape() as tape:
-            tape.backward(loss)
-        np.testing.assert_array_equal(loss.grad, np.ones(()))
+            grads = tape.backward(loss)
+        np.testing.assert_array_equal(grads[loss], np.ones(()))
+
+    def test_backward_returns_exactly_the_requires_grad_leaves(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        w = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+        const = Tensor(np.array([4.0, 5.0]))
+        unreached = Tensor(np.ones(2), requires_grad=True)
+        with Tape() as tape:
+            tz.mul(unreached, w)
+            total = tz.mean(tz.add(tz.mul(x, w), const), axes=0)
+            grads = tape.backward(total)
+        assert grads.keys() == {x, w}
+        np.testing.assert_array_equal(grads[x], w.data / 2.0)
+        np.testing.assert_array_equal(grads[w], x.data / 2.0)
 
     def test_desk_step_grads_bitwise_equal_keeping_intermediates(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 16, 1, 1, 16))
         targets = np.array([1, 3])
-        grads = []
+        runs = []
         for tape_cls in (Tape, KeepIntermediatesTape):
             model = VideoGraphModel(VideoGraphConfig(num_classes=4, seed=5))
             with tape_cls() as tape:
                 loss = tz.loss(model.forward_batch(Tensor(x), mode="train"), targets, "single")
-                tape.backward(loss)
-            outputs_with_grad = sum(op.output.grad is not None for op in tape.ops)
-            grads.append(({n: p.grad for n, p in model.named_parameters().items()}, outputs_with_grad))
-        (leaf, leaf_outputs), (kept, kept_outputs) = grads
-        assert leaf_outputs == 0 and kept_outputs == len(tape.ops)
-        assert leaf.keys() == kept.keys()
-        for name in leaf:
-            assert leaf[name] is not None, name
-            assert leaf[name].tobytes() == kept[name].tobytes(), name
+                runs.append((model.named_parameters(), tape.backward(loss), tape.ops))
+        (params, leaf, ops), (kept_params, kept, kept_ops) = runs
+        assert not any(op.output in leaf for op in ops)
+        assert all(op.output in kept for op in kept_ops)
+        assert leaf.keys() == set(params.values())
+        for name, p in params.items():
+            assert leaf[p].tobytes() == kept[kept_params[name]].tobytes(), name
 
 
 class TestGradientSuite:
@@ -157,18 +150,24 @@ class TestTapeGradients:
     def test_unreached_tensor_gets_zeros_and_grads_are_cleared(self):
         a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         unused = Tensor(np.ones((2, 2)), requires_grad=True)
-        a.grad = np.full(3, 7.0)      # a stale gradient is cleared, not accumulated
-        grads = tz.tape_gradients(lambda: tz.mean(tz.mul(a, a), axes=0), [a, unused])
+
+        def f():
+            return tz.mean(tz.mul(a, a), axes=0)
+
+        grads = tz.tape_gradients(f, [a, unused])
         np.testing.assert_allclose(grads[0], 2.0 * a.data / 3.0, rtol=1e-15)
         np.testing.assert_array_equal(grads[1], np.zeros((2, 2)))
-        assert a.grad is None and unused.grad is None
+        # nothing carries over: a second call returns the same gradients, not their sum
+        again = tz.tape_gradients(f, [a, unused])
+        assert [g.tobytes() for g in again] == [g.tobytes() for g in grads]
 
     def test_non_scalar_function_rejected_and_grads_cleared(self):
         a = Tensor(np.ones(3), requires_grad=True)
-        a.grad = np.ones(3)
         with pytest.raises(ShapeError, match="scalar"):
             tz.tape_gradients(lambda: tz.mul(a, a), [a])
-        assert a.grad is None
+        # the rejected call leaves nothing behind for the next one
+        grads = tz.tape_gradients(lambda: tz.mean(tz.mul(a, a), axes=0), [a])
+        np.testing.assert_array_equal(grads[0], 2.0 * a.data / 3.0)
 
 
 def loop_min_pool_gap(arr, axes, kernel=3):
@@ -368,37 +367,34 @@ class TestStagedEvalLoss:
 class TestSgd:
     def test_plain_step(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        p.grad = np.array([0.5, -0.5])
+        grad = np.array([0.5, -0.5])
         opt = SgdMomentum({"p": p}, learning_rate=0.1, momentum=0.0, weight_decay=0.0)
-        opt.step()
+        opt.step({p: grad})
         np.testing.assert_allclose(p.data, [0.95, 2.05])
-        assert p.grad is None
+        np.testing.assert_array_equal(grad, [0.5, -0.5])   # the step only reads it
 
     def test_momentum_two_steps(self):
         # constant gradient 1: drops of lr*1 then lr*1.9
         p = Tensor(np.array([0.0]), requires_grad=True)
         opt = SgdMomentum({"p": p}, learning_rate=0.1, momentum=0.9, weight_decay=0.0)
-        p.grad = np.array([1.0])
-        opt.step()
+        opt.step({p: np.array([1.0])})
         np.testing.assert_allclose(p.data, [-0.1], atol=1e-15)
-        p.grad = np.array([1.0])
-        opt.step()
+        opt.step({p: np.array([1.0])})
         np.testing.assert_allclose(p.data, [-0.29], atol=1e-15)
 
     def test_weight_decay_enters_velocity(self):
         p = Tensor(np.array([10.0]), requires_grad=True)
-        p.grad = np.array([0.0])
         opt = SgdMomentum({"p": p}, learning_rate=0.1, momentum=0.0, weight_decay=0.01)
-        opt.step()
+        opt.step({p: np.array([0.0])})
         np.testing.assert_allclose(p.data, [10.0 - 0.1 * 0.1])
 
     def test_zero_lr_leaves_parameters_bitwise(self):
         rng = np.random.default_rng(3)
         p = Tensor(rng.normal(size=17), requires_grad=True)
         before = p.data.tobytes()
-        p.grad = rng.normal(size=17)
+        grad = rng.normal(size=17)
         opt = SgdMomentum({"p": p}, learning_rate=0.0, momentum=0.9, weight_decay=1e-5)
-        opt.step()
+        opt.step({p: grad})
         assert p.data.tobytes() == before
 
     def test_default_hyperparameters(self):
@@ -415,18 +411,22 @@ class TestSgd:
         ref_data = {n: p.data.copy() for n, p in params.items()}
         ref_velocity = {n: np.zeros_like(p.data) for n, p in params.items()}
         for _ in range(50):
+            grads = {}
             for n, p in params.items():
                 g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
-                p.grad = g.copy()
+                grads[p] = g.copy()
                 ref_velocity[n] = momentum * ref_velocity[n] + (g + decay * ref_data[n])
                 ref_data[n] = ref_data[n] - lr * ref_velocity[n]
-            opt.step()
+            opt.step(grads)
             for n, p in params.items():
                 assert p.data.tobytes() == ref_data[n].tobytes()
                 assert opt.velocity[n].tobytes() == ref_velocity[n].tobytes()
 
     def test_missing_grad_rejected(self):
         p = Tensor(np.zeros(2), requires_grad=True)
-        opt = SgdMomentum({"p": p}, learning_rate=0.1, momentum=0.9, weight_decay=1e-5)
-        with pytest.raises(RuntimeError, match="no gradient"):
-            opt.step()
+        q = Tensor(np.ones(2), requires_grad=True)
+        opt = SgdMomentum({"p": p, "q": q}, learning_rate=0.1, momentum=0.9, weight_decay=1e-5)
+        with pytest.raises(RuntimeError, match="'q'.*no gradient"):
+            opt.step({p: np.ones(2)})
+        # nothing moves when any parameter lacks a gradient
+        np.testing.assert_array_equal(p.data, np.zeros(2))

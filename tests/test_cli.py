@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from videograph import checkpoint
+from videograph import checkpoint, datasets
 from videograph.cli import main
 from videograph.datasets import load_manifest
 from videograph.model import MODEL_FIELDS
@@ -128,6 +128,18 @@ class TestValidationErrors:
             assert code == 1
             assert "unknown run config keys" in err
             assert repr(key) in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{bad"])
+    @pytest.mark.parametrize("command", ["shapes", "train", "gen-data"])
+    def test_config_that_is_not_an_object_exits_one(self, capsys, tmp_path, command, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        other_flags = {"shapes": (), "gen-data": ("--out", str(tmp_path / "out")),
+                       "train": ("--data", str(tmp_path), "--out", str(tmp_path / "out"))}
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), *other_flags[command])
+        assert code == 1
+        assert str(cfg) in err and "must hold a JSON object" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, config, key", [
         ("shapes", {"N": 8.5}, "N"), ("shapes", {"T": "16"}, "T"),
@@ -331,6 +343,26 @@ class TestTrainEvalReport:
         assert code == 1
         assert "train.jsonl:3: label 2 is outside [0, 2)" in err
         assert not (tmp_path / "run").exists()
+
+    def test_train_on_one_manifest_file_reads_each_video_once(self, capsys, tmp_path, monkeypatch):
+        data_cfg = tmp_path / "data.json"
+        data_cfg.write_text(json.dumps({"num_classes": 2, "T": 16, "H": 1, "W": 1, "C": 16,
+                                        "train_videos_per_class": 4, "val_videos_per_class": 1,
+                                        "seed": 1}))
+        assert main(["gen-data", "--config", str(data_cfg), "--out", str(tmp_path / "data")]) == 0
+        run_cfg = tmp_path / "run.json"
+        run_cfg.write_text(json.dumps({"T": 16, "N": 8, "H": 1, "W": 1, "C": 16,
+                                       "num_classes": 2, "num_embedding_layers": 1,
+                                       "classifier_hidden": 8, "epochs": 1, "batch_size": 4}))
+        reads = []
+        original = datasets.read_feature_file
+        monkeypatch.setattr(datasets, "read_feature_file",
+                            lambda path: reads.append(path) or original(path))
+        code, _, _ = run_cli(capsys, "train", "--config", str(run_cfg),
+                             "--data", str(tmp_path / "data" / "train.jsonl"),
+                             "--out", str(tmp_path / "run"))
+        assert code == 0
+        assert len(reads) == 8 and len(set(reads)) == 8
 
     def test_eval_confusion_sized_by_model_classes(self, workspace, capsys, tmp_path):
         # a 4-class model on the 2-class set: labels are 0-1, predictions 0-3
