@@ -3,6 +3,9 @@
 
 For one seed it prints:
 
+  * a SHA-256 of the features, labels and label mode of the desk and grid
+    datasets the lines below use, as read back through `write_manifest`
+    and `load_manifest`;
   * the SHA-256 of the desk `train()` loss trajectory (epochs 0-3 on the
     `train_desk` benchmark data; the benchmark reports the same value as
     `loss_trajectory_sha256`);
@@ -51,8 +54,17 @@ def load_data(seed: int, H: int, W: int, train_per_class: int, val_per_class: in
                  for name in ("train", "val"))
 
 
-def train_fingerprint(seed: int, work: Path) -> str:
-    train_ds, val_ds = load_data(seed, 1, 1, 25, 25, work / "desk")
+def data_fingerprint(loaded) -> str:
+    digest = hashlib.sha256()
+    for dataset in loaded:
+        digest.update(dataset.label_mode.encode())
+        digest.update(dataset.labels.tobytes())
+        for features in dataset.features:
+            digest.update(features.tobytes())
+    return digest.hexdigest()
+
+
+def train_fingerprint(seed: int, train_ds, val_ds) -> str:
     _, log = training.train(training.RunConfig(seed=seed, epochs=TRAJECTORY_EPOCHS), train_ds, val_ds)
     return sha256(json.dumps([repr(r["train_loss"]) for r in log.rows]).encode())
 
@@ -62,9 +74,8 @@ def one_cell(dataset: datasets.Dataset) -> datasets.Dataset:
                             dataset.label_mode)
 
 
-def eval_fingerprints(seed: int, work: Path) -> tuple[dict[str, str], str]:
+def eval_fingerprints(seed: int, train_ds, val_ds, work: Path) -> tuple[dict[str, str], str]:
     """Eval score hashes per model and perturbation, and the checkpoints' hash."""
-    train_ds, val_ds = load_data(seed, 3, 3, 25, 100, work / "grid")
     config = training.RunConfig(H=3, W=3, seed=seed, epochs=EVAL_SETUP_EPOCHS)
     cell_config = replace(config, H=1, W=1)
     cell_train = one_cell(train_ds)
@@ -93,8 +104,11 @@ def main():
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        print(f"train loss_trajectory_sha256 {train_fingerprint(args.seed, work)}")
-        eval_hashes, checkpoint_hash = eval_fingerprints(args.seed, work)
+        desk = load_data(args.seed, 1, 1, 25, 25, work / "desk")
+        grid = load_data(args.seed, 3, 3, 25, 100, work / "grid")
+        print(f"data_sha256 {data_fingerprint(desk + grid)}")
+        print(f"train loss_trajectory_sha256 {train_fingerprint(args.seed, *desk)}")
+        eval_hashes, checkpoint_hash = eval_fingerprints(args.seed, *grid, work)
         for name, digest in eval_hashes.items():
             print(f"eval {name} {digest}")
         print(f"checkpoint_sha256 {checkpoint_hash}")

@@ -118,7 +118,13 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     if not manifest_path.exists():
         raise CheckpointError(f"no {MANIFEST_NAME} in {path}")
     manifest_bytes = manifest_path.read_bytes()
-    manifest = json.loads(manifest_bytes)
+    try:
+        manifest = json.loads(manifest_bytes)
+    except ValueError as exc:
+        raise CheckpointError(f"{manifest_path} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{manifest_path} must hold a JSON object, "
+                              f"not a {type(manifest).__name__}")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"checkpoint format version {manifest.get('format_version')!r} "
                               f"cannot be read; this build reads version {FORMAT_VERSION}")

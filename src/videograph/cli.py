@@ -79,7 +79,7 @@ def cmd_gen_data(args) -> int:
     write_manifest(train_set, out, "train")
     write_manifest(val_set, out, "val")
     (out / "dataset.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(train_set.samples)} train / {len(val_set.samples)} val videos to {out}")
+    print(f"wrote {len(train_set)} train / {len(val_set)} val videos to {out}")
     return 0
 
 

@@ -1,11 +1,12 @@
-"""Dataset manifests and in-memory datasets.
+"""Datasets in memory and on disk as VGFT manifests.
 
 A manifest is a JSON-lines file, one record per video:
-    {"feature_path": "features/c0_v000.vgft", "label": 2}
+    {"feature_path": "features/train_v0000.vgft", "label": 2}
 or, for multi-label tasks:
     {"feature_path": "...", "labels": [0, 3, 5]}
 Feature paths are resolved relative to the manifest's directory; features are
-stored as VGFT files.
+stored as VGFT files. `write_manifest` and `load_manifest` are inverses up to
+the float32 storage of features.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .features import read_feature_file, write_feature_file
-from .synthetic import GeneratedDataset, multi_label_vector
-
-# share of a dataset `Dataset.split` holds out for validation
-VAL_FRACTION = 0.2
 
 
 @dataclass
@@ -44,40 +41,40 @@ class Dataset:
         return Dataset(features=[self.features[i] for i in indices],
                        labels=self.labels[indices], label_mode=self.label_mode)
 
-    def split(self, seed: int) -> tuple["Dataset", "Dataset"]:
-        """Deterministic train/val split by seeded shuffle, VAL_FRACTION held out."""
-        order = np.random.default_rng(seed).permutation(len(self))
-        n_val = max(1, int(round(VAL_FRACTION * len(self))))
-        return self.subset(order[n_val:]), self.subset(order[:n_val])
 
-
-def dataset_from_generated(gen: GeneratedDataset) -> Dataset:
-    feats = [s.features for s in gen.samples]
-    if gen.config.label_mode == "single":
-        labels = np.array([s.label for s in gen.samples], dtype=np.int64)
-    else:
-        labels = np.stack([multi_label_vector(s, gen.config.num_actions) for s in gen.samples])
-    return Dataset(features=feats, labels=labels, label_mode=gen.config.label_mode)
-
-
-def write_manifest(gen: GeneratedDataset, out_dir, name: str) -> Path:
+def write_manifest(dataset: Dataset, out_dir, name: str) -> Path:
     """Write VGFT feature files plus a JSON-lines manifest; returns its path."""
     out_dir = Path(out_dir)
-    feature_dir = out_dir / "features"
-    feature_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "features").mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / f"{name}.jsonl"
     lines = []
-    for i, sample in enumerate(gen.samples):
-        rel = f"features/{name}_c{sample.label}_v{i:04d}.vgft"
-        write_feature_file(out_dir / rel, sample.features)
-        if gen.config.label_mode == "single":
-            record = {"feature_path": rel, "label": int(sample.label)}
+    for i, (features, label) in enumerate(zip(dataset.features, dataset.labels)):
+        rel = f"features/{name}_v{i:04d}.vgft"
+        write_feature_file(out_dir / rel, features)
+        if dataset.label_mode == "single":
+            record = {"feature_path": rel, "label": int(label)}
         else:
-            vec = multi_label_vector(sample, gen.config.num_actions)
-            record = {"feature_path": rel, "labels": [int(v) for v in np.flatnonzero(vec)]}
+            record = {"feature_path": rel, "labels": np.flatnonzero(label).tolist()}
         lines.append(json.dumps(record, sort_keys=True))
     manifest_path.write_text("\n".join(lines) + "\n")
     return manifest_path
+
+
+def _record_labels(record, where: str) -> tuple[str, list[int]]:
+    """A manifest record's label mode and label list; ValueError at `where` if malformed."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: record must be a JSON object, not a {type(record).__name__}")
+    if not isinstance(record.get("feature_path"), str):
+        raise ValueError(f"{where}: record needs a string 'feature_path'")
+    if "label" in record:
+        mode, key, labels, kind = "single", "label", [record["label"]], "an integer"
+    elif "labels" in record:
+        mode, key, labels, kind = "multi", "labels", record["labels"], "a list of integers"
+    else:
+        raise ValueError(f"{where}: record has neither 'label' nor 'labels'")
+    if not isinstance(labels, list) or not all(type(v) is int for v in labels):  # excludes bool
+        raise ValueError(f"{where}: {key!r} must be {kind}; got {record[key]!r}")
+    return mode, labels
 
 
 def load_manifest(manifest_path, num_label_classes: int) -> Dataset:
@@ -89,21 +86,19 @@ def load_manifest(manifest_path, num_label_classes: int) -> Dataset:
     for line_no, line in enumerate(manifest_path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        if "label" in record:
-            mode, labels = "single", [int(record["label"])]
-        elif "labels" in record:
-            mode, labels = "multi", [int(v) for v in record["labels"]]
-        else:
-            raise ValueError(f"{manifest_path}:{line_no}: record has neither 'label' nor 'labels'")
+        where = f"{manifest_path}:{line_no}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: not a JSON record: {exc}") from None
+        mode, labels = _record_labels(record, where)
         if label_mode is None:
             label_mode = mode
         elif label_mode != mode:
-            raise ValueError(f"{manifest_path}:{line_no}: mixed single/multi label records")
+            raise ValueError(f"{where}: mixed single/multi label records")
         bad = [v for v in labels if not 0 <= v < num_label_classes]
         if bad:
-            raise ValueError(f"{manifest_path}:{line_no}: label {bad[0]} is outside "
-                             f"[0, {num_label_classes})")
+            raise ValueError(f"{where}: label {bad[0]} is outside [0, {num_label_classes})")
         features.append(read_feature_file(base / record["feature_path"]))
         label_rows.append(labels)
     if not features:

@@ -121,7 +121,7 @@ def shape_inference(config: VideoGraphConfig) -> list[tuple[str, object]]:
     config.validate()
     stages: list[tuple[str, object]] = [
         ("input", (config.T, config.H, config.W, config.C)),
-        ("node_attention", (config.H, config.W, config.N)),
+        ("node_attention", (config.T, config.H, config.W, config.N)),
         ("video_tensor", (config.T, config.N, config.H, config.W, config.C)),
     ]
     t_len, n_len = config.T, config.N

@@ -7,15 +7,19 @@ spatial grid. The marginal_confound regime makes every class doubly
 stochastic (identical uniform long-run unit-action frequencies) so classes
 differ only in their transition structure; distinct_actions gives each class
 a disjoint slice of the vocabulary instead.
+
+`generate_samples` returns a `datasets.Dataset`: class ids as labels, or for
+label_mode "multi" the indicator of the unit-actions each walk visits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .datasets import Dataset
 from .model import LABEL_MODES, check_types
 
 DEFAULT_NOISE_SIGMA = 0.3
@@ -186,6 +190,7 @@ def sample_video(cls: ActivityClass, vocab: UnitActionVocabulary,
 
 
 def perturbation_indices(length: int, mode: str, seed: int = 0) -> np.ndarray:
+    """Time-axis order of one video under `mode`; `training.evaluate` applies it."""
     if mode == "natural":
         return np.arange(length)
     if mode == "reversed":
@@ -193,13 +198,6 @@ def perturbation_indices(length: int, mode: str, seed: int = 0) -> np.ndarray:
     if mode == "random":
         return np.random.default_rng(seed).permutation(length)
     raise ValueError(f"perturbation mode must be one of {PERTURBATION_MODES}")
-
-
-def perturb_order(sample: VideoSample, mode: str, seed: int = 0) -> VideoSample:
-    """Permute the time axis only; the label is untouched."""
-    idx = perturbation_indices(sample.features.shape[0], mode, seed)
-    return VideoSample(features=sample.features[idx].copy(), label=sample.label,
-                       actions=sample.actions[idx].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +234,9 @@ class DatasetConfig:
         return asdict(self)
 
 
-@dataclass
-class GeneratedDataset:
-    samples: list[VideoSample]
-    config: DatasetConfig
-    classes: list[ActivityClass] = field(repr=False, default_factory=list)
-
-
-def generate_samples(config: DatasetConfig, videos_per_class: int, salt: int) -> GeneratedDataset:
+def generate_samples(config: DatasetConfig, videos_per_class: int, salt: int) -> Dataset:
+    """videos_per_class videos of each class, class by class; `salt` keeps
+    the train and val sets of one config apart."""
     config.validate()
     vocab = make_vocabulary(config.num_actions, config.C, seed=config.seed,
                             noise_sigma=config.noise_sigma)
@@ -255,7 +248,12 @@ def generate_samples(config: DatasetConfig, videos_per_class: int, salt: int) ->
             sample_seed = np.random.SeedSequence((config.seed, salt, cls.class_id, i))
             rng_seed = int(sample_seed.generate_state(1)[0])
             samples.append(sample_video(cls, vocab, config.T, config.H, config.W, rng_seed))
-    return GeneratedDataset(samples=samples, config=config, classes=classes)
+    if config.label_mode == "single":
+        labels = np.array([s.label for s in samples], dtype=np.int64)
+    else:
+        labels = np.stack([multi_label_vector(s, config.num_actions) for s in samples])
+    return Dataset(features=[s.features for s in samples], labels=labels,
+                   label_mode=config.label_mode)
 
 
 def multi_label_vector(sample: VideoSample, num_actions: int) -> np.ndarray:

@@ -196,12 +196,14 @@ def build_model(config: RunConfig, train_dataset: Dataset, baseline: bool = Fals
     return VideoGraphModel(config.model_config(), feature_sample=feature_sample)
 
 
-def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset | None = None,
-          out_dir=None, model=None, optimizer: SgdMomentum | None = None,
-          start_epoch: int = 0, baseline: bool = False):
+def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset, out_dir=None,
+          model=None, optimizer: SgdMomentum | None = None, start_epoch: int = 0,
+          baseline: bool = False):
     """Train a model; returns (model, MetricLog).
 
-    When out_dir is given, writes a final checkpoint and metrics.csv there.
+    Every metric row scores the model on val_dataset, which is required (one
+    dataset may serve as both train and val). When out_dir is given, writes
+    a final checkpoint and metrics.csv there.
     Passing model/optimizer/start_epoch resumes a checkpointed run; epoch
     numbering and shuffling then continue the original stream. The model's
     config must match the run config in every model field but the
@@ -223,10 +225,7 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset | None
                 raise ValueError(f"model config key {name!r} is {have!r} but the run config "
                                  f"has {want!r}")
     for name, dataset in (("train", train_dataset), ("val", val_dataset)):
-        if dataset is not None:
-            _check_labels(dataset, config, name)
-    if val_dataset is None:
-        train_dataset, val_dataset = train_dataset.split(seed=config.seed)
+        _check_labels(dataset, config, name)
 
     if model is None:
         model = build_model(config, train_dataset, baseline=baseline)

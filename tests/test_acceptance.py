@@ -13,7 +13,6 @@ import pytest
 
 from videograph.analysis import ActivationStack, extract_activity_graph
 from videograph.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from videograph.datasets import dataset_from_generated
 from videograph.features import FeatureFileError, read_feature_file, write_feature_file
 from videograph.gradsuite import run_gradient_suite
 from videograph.metrics import mean_average_precision
@@ -38,7 +37,7 @@ def overfit_runs():
     for seed in SEEDS:
         dcfg = DatasetConfig(num_classes=2, num_actions=8, regime="marginal_confound",
                              T=16, H=1, W=1, C=16, train_videos_per_class=16, seed=seed)
-        ds = dataset_from_generated(generate_samples(dcfg, 16, salt=0))
+        ds = generate_samples(dcfg, 16, salt=0)
         rcfg = RunConfig(num_classes=2, epochs=200, seed=seed)
         model, log = train(rcfg, ds, val_dataset=ds.subset(range(4)))
         runs.append(log)
@@ -53,8 +52,8 @@ def separation_runs():
     for seed in SEEDS:
         dcfg = DatasetConfig(num_classes=4, num_actions=4, regime="marginal_confound",
                              T=16, H=1, W=1, C=16, seed=seed)
-        train_ds = dataset_from_generated(generate_samples(dcfg, 25, salt=0))
-        val_ds = dataset_from_generated(generate_samples(dcfg, 25, salt=1))
+        train_ds = generate_samples(dcfg, 25, salt=0)
+        val_ds = generate_samples(dcfg, 25, salt=1)
         rcfg = RunConfig(num_classes=4, epochs=200, seed=seed)
         model, _ = train(rcfg, train_ds, val_dataset=val_ds)
         baseline, _ = train(rcfg, train_ds, val_dataset=val_ds, baseline=True)
@@ -149,7 +148,7 @@ def test_criterion_7_map_oracle_equivalence():
 
 def test_criterion_8_persistence(tmp_path):
     dcfg = DatasetConfig(num_classes=2, seed=5)
-    ds = dataset_from_generated(generate_samples(dcfg, 6, salt=0))
+    ds = generate_samples(dcfg, 6, salt=0)
 
     # resumed training matches the uninterrupted run's next-epoch loss
     full_cfg = RunConfig(num_classes=2, epochs=3, seed=5)

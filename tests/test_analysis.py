@@ -88,12 +88,11 @@ class TestExtraction:
 
     def test_collect_stacks_from_model(self):
         from videograph import tensor as tz
-        from videograph.datasets import dataset_from_generated
         from videograph.model import VideoGraphConfig, VideoGraphModel
         from videograph.synthetic import DatasetConfig, generate_samples
         from videograph.tensor import Tensor
 
-        ds = dataset_from_generated(generate_samples(DatasetConfig(num_classes=2, seed=0), 3, salt=0))
+        ds = generate_samples(DatasetConfig(num_classes=2, seed=0), 3, salt=0)
         model = VideoGraphModel(VideoGraphConfig(num_classes=2))
         model.forward_batch(Tensor(np.stack(ds.features[:2])), mode="train")
         stacks = collect_activation_stacks(model, ds)
@@ -110,11 +109,10 @@ class TestExtraction:
             assert stacks[label].activations.tobytes() == np.stack(per_video).tobytes()
 
     def test_baseline_rejected_by_type_before_any_forward(self):
-        from videograph.datasets import dataset_from_generated
         from videograph.model import MeanPoolBaseline, VideoGraphConfig
         from videograph.synthetic import DatasetConfig, generate_samples
 
-        ds = dataset_from_generated(generate_samples(DatasetConfig(num_classes=2, seed=0), 1, salt=0))
+        ds = generate_samples(DatasetConfig(num_classes=2, seed=0), 1, salt=0)
         # an eval forward would raise RuntimeError: its batch norm never saw a train batch
         with pytest.raises(ValueError, match="mean_pool"):
             collect_activation_stacks(MeanPoolBaseline(VideoGraphConfig(num_classes=2)), ds)

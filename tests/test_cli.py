@@ -321,7 +321,9 @@ class TestTrainEvalReport:
     @pytest.mark.parametrize("edit, message", [
         (swap_mean_and_var, "crc mismatch"),
         (lambda text: text.replace('"format_version": 2', '"format_version": 1'),
-         "version 1 cannot be read; this build reads version 2")])
+         "version 1 cannot be read; this build reads version 2"),
+        (lambda text: "{bad", "manifest.json is not JSON"),
+        (lambda text: "[1, 2]", "manifest.json must hold a JSON object, not a list")])
     def test_eval_of_edited_manifest_exits_one(self, workspace, capsys, tmp_path, edit, message):
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(workspace / "run" / "checkpoint", ckpt)

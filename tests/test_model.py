@@ -190,7 +190,7 @@ class TestShapeInference:
         stages = shape_inference(full_scale_config(num_classes=12))
         assert stages == [
             ("input", (64, 7, 7, 1024)),
-            ("node_attention", (7, 7, 128)),
+            ("node_attention", (64, 7, 7, 128)),
             ("video_tensor", (64, 128, 7, 7, 1024)),
             ("graph_embedding_1", (21, 42, 7, 7, 1024)),
             ("graph_embedding_2", (7, 14, 7, 7, 1024)),

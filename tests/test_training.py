@@ -16,7 +16,7 @@ from videograph import checkpoint
 from videograph import tensor as tz
 from videograph import training
 from videograph.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from videograph.datasets import Dataset, dataset_from_generated, load_manifest, write_manifest
+from videograph.datasets import Dataset, load_manifest, write_manifest
 from videograph.metrics import mean_average_precision
 from videograph.model import MODEL_FIELDS, VideoGraphConfig, VideoGraphModel, eval_chunks
 from videograph.optim import SgdMomentum
@@ -69,7 +69,7 @@ class TestMeanAveragePrecision:
 
 def tiny_dataset(num_classes=2, per_class=6, seed=0, **kwargs):
     cfg = DatasetConfig(num_classes=num_classes, seed=seed, **kwargs)
-    return dataset_from_generated(generate_samples(cfg, per_class, salt=0)), cfg
+    return generate_samples(cfg, per_class, salt=0), cfg
 
 
 def eval_one(model, features):
@@ -115,7 +115,7 @@ class TestEvaluate:
 
     def test_uniform_random_predictor_near_chance(self):
         cfg = DatasetConfig(num_classes=4, seed=0)
-        ds = dataset_from_generated(generate_samples(cfg, 100, salt=0))  # 400 samples
+        ds = generate_samples(cfg, 100, salt=0)  # 400 samples
         result = evaluate(_RandomStub(4, seed=3), ds, perturbation="natural")
         assert abs(result.metric - 0.25) <= 0.05
 
@@ -293,6 +293,15 @@ class TestCheckpoint:
         with pytest.raises(TypeError, match="'learning_rate', 'momentum', and 'weight_decay'"):
             load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "is not JSON"), ("[1, 2]", "must hold a JSON object, not a list")],
+        ids=["not-json", "not-object"])
+    def test_manifest_not_a_json_object_names_path(self, tmp_path, text, message):
+        ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: None)
+        (ckpt / "manifest.json").write_text(text)
+        with pytest.raises(CheckpointError, match=re.escape(f"{ckpt / 'manifest.json'} {message}")):
+            load_checkpoint(ckpt)
+
     def test_model_key_of_wrong_type_named(self, tmp_path):
         ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: snap.update(N=8.0))
         with pytest.raises(ValueError, match="config key 'N' must be int; got 8.0"):
@@ -373,9 +382,9 @@ class TestTrainingLoop:
         assert log.column("epoch") == [0, 1]
 
     def test_empty_dataset_rejected(self):
+        empty = Dataset(features=[], labels=np.zeros(0, dtype=np.int64), label_mode="single")
         with pytest.raises(ValueError, match="empty"):
-            train(RunConfig(), Dataset(features=[], labels=np.zeros(0, dtype=np.int64),
-                                       label_mode="single"))
+            train(RunConfig(), empty, tiny_dataset()[0])
 
     @pytest.mark.parametrize("which, labels, config_mode, message", [
         ("train", [0, 1, 2, 1], "single",
@@ -419,7 +428,7 @@ class TestTrainingLoop:
 
     def test_multi_label_training_runs(self):
         cfg_data = DatasetConfig(num_classes=2, label_mode="multi", seed=9)
-        ds = dataset_from_generated(generate_samples(cfg_data, 6, salt=0))
+        ds = generate_samples(cfg_data, 6, salt=0)
         cfg = RunConfig(num_classes=cfg_data.num_actions, label_mode="multi",
                         epochs=2, seed=9)
         model, log = train(cfg, ds, val_dataset=ds)
@@ -429,21 +438,23 @@ class TestTrainingLoop:
 
 
 class TestManifests:
-    def test_round_trip_through_files(self, tmp_path):
-        gen = generate_samples(DatasetConfig(num_classes=2, seed=1), 3, salt=0)
-        write_manifest(gen, tmp_path, "train")
-        ds = load_manifest(tmp_path / "train.jsonl", num_label_classes=2)
-        direct = dataset_from_generated(gen)
-        assert len(ds) == len(direct)
-        np.testing.assert_array_equal(ds.labels, direct.labels)
-        for a, b in zip(ds.features, direct.features):
-            np.testing.assert_array_equal(a, b.astype(np.float32).astype(np.float64))
+    @pytest.mark.parametrize("label_mode", ["single", "multi"])
+    def test_round_trip_through_files(self, tmp_path, label_mode):
+        cfg = DatasetConfig(num_classes=2, label_mode=label_mode, seed=2)
+        ds = generate_samples(cfg, 3, salt=0)
+        k = cfg.num_classes if label_mode == "single" else cfg.num_actions
+        loaded = load_manifest(write_manifest(ds, tmp_path, "val"), num_label_classes=k)
+        assert loaded.label_mode == ds.label_mode
+        assert loaded.labels.dtype == ds.labels.dtype
+        np.testing.assert_array_equal(loaded.labels, ds.labels)
+        assert len(loaded) == len(ds)
+        for a, b in zip(loaded.features, ds.features):
+            assert a.tobytes() == b.astype(np.float32).tobytes()
 
     def test_features_stay_float32(self, tmp_path):
-        gen = generate_samples(DatasetConfig(num_classes=2, seed=1), 2, salt=0)
-        write_manifest(gen, tmp_path, "train")
-        ds = load_manifest(tmp_path / "train.jsonl", num_label_classes=2)
-        assert [f.dtype for f in ds.features] == [np.dtype(np.float32)] * 4
+        ds = generate_samples(DatasetConfig(num_classes=2, seed=1), 2, salt=0)
+        loaded = load_manifest(write_manifest(ds, tmp_path, "train"), num_label_classes=2)
+        assert [f.dtype for f in loaded.features] == [np.dtype(np.float32)] * 4
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -454,8 +465,8 @@ class TestManifests:
     @pytest.mark.parametrize("record, bad", [
         ({"label": 2}, 2), ({"label": -1}, -1), ({"labels": [0, 2]}, 2), ({"labels": [-1]}, -1)])
     def test_label_outside_class_count_names_line(self, tmp_path, record, bad):
-        gen = generate_samples(DatasetConfig(num_classes=2, seed=1), 1, salt=0)
-        first = write_manifest(gen, tmp_path, "train").read_text().splitlines()[0]
+        ds = generate_samples(DatasetConfig(num_classes=2, seed=1), 1, salt=0)
+        first = write_manifest(ds, tmp_path, "train").read_text().splitlines()[0]
         feature = {"feature_path": json.loads(first)["feature_path"]}
         valid = {"label": 0} if "label" in record else {"labels": [1]}
         path = tmp_path / "bad.jsonl"
@@ -464,13 +475,24 @@ class TestManifests:
         with pytest.raises(ValueError, match=rf"bad\.jsonl:2: label {bad} is outside \[0, 2\)"):
             load_manifest(path, num_label_classes=2)
 
-    def test_multi_label_round_trip(self, tmp_path):
-        cfg = DatasetConfig(num_classes=2, label_mode="multi", seed=2)
-        gen = generate_samples(cfg, 3, salt=0)
-        write_manifest(gen, tmp_path, "val")
-        ds = load_manifest(tmp_path / "val.jsonl", num_label_classes=cfg.num_actions)
-        direct = dataset_from_generated(gen)
-        np.testing.assert_array_equal(ds.labels, direct.labels)
+    @pytest.mark.parametrize("line, message", [
+        ('{"feature_path": "v.vgft", "label": 0', "not a JSON record"),
+        ('[1, 2]', "record must be a JSON object, not a list"),
+        ('{"label": 0}', "record needs a string 'feature_path'"),
+        ('{"feature_path": 3, "label": 0}', "record needs a string 'feature_path'"),
+        ('{"feature_path": "v.vgft", "label": 1.7}', "'label' must be an integer; got 1.7"),
+        ('{"feature_path": "v.vgft", "label": true}', "'label' must be an integer; got True"),
+        ('{"feature_path": "v.vgft", "label": "x"}', "'label' must be an integer; got 'x'"),
+        ('{"feature_path": "v.vgft", "labels": 3}', "'labels' must be a list of integers; got 3"),
+        ('{"feature_path": "v.vgft", "labels": [0, 1.0]}',
+         "'labels' must be a list of integers; got [0, 1.0]"),
+    ], ids=["not-json", "not-object", "no-path", "path-not-str", "float-label", "bool-label",
+            "str-label", "labels-not-list", "float-in-labels"])
+    def test_malformed_record_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+            load_manifest(path, num_label_classes=2)
 
 
 class TestLoadedFeaturesWidenExactly:
@@ -481,8 +503,8 @@ class TestLoadedFeaturesWidenExactly:
     @pytest.fixture(scope="class")
     def datasets(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("data")
-        gen = generate_samples(DatasetConfig(num_classes=2, H=2, W=2, seed=5), 4, salt=0)
-        write_manifest(gen, out, "train")
+        ds = generate_samples(DatasetConfig(num_classes=2, H=2, W=2, seed=5), 4, salt=0)
+        write_manifest(ds, out, "train")
         loaded = load_manifest(out / "train.jsonl", num_label_classes=2)
         widened = Dataset([f.astype(np.float64) for f in loaded.features], loaded.labels,
                           loaded.label_mode)
@@ -510,10 +532,10 @@ class TestLoadedFeaturesWidenExactly:
 EVAL_SLICE = """
 from pathlib import Path
 import numpy as np
-from videograph import datasets, synthetic, tensor, training
+from videograph import synthetic, tensor, training
 data = synthetic.DatasetConfig(num_classes=4, num_actions=4, regime="marginal_confound", T=16,
                                H=3, W=3, C=16, seed=0)
-ds = datasets.dataset_from_generated(synthetic.generate_samples(data, 25, salt=1))
+ds = synthetic.generate_samples(data, 25, salt=1)
 model = training.build_model(training.RunConfig(H=3, W=3, seed=0), ds)
 with tensor.stop_recording():
     model.forward_batch(tensor.Tensor(np.stack(ds.features[::4])), mode="train")
