@@ -55,7 +55,7 @@ def _write_sealed(path: Path, manifest: dict, payload: bytes) -> None:
 
 
 def save_checkpoint(model, optimizer: SgdMomentum, epoch: int, path,
-                    config_snapshot: dict | None = None) -> Path:
+                    config_snapshot: dict) -> Path:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     groups = _groups(model, optimizer)
@@ -65,7 +65,7 @@ def save_checkpoint(model, optimizer: SgdMomentum, epoch: int, path,
     manifest = {
         "format_version": FORMAT_VERSION,
         "model_type": model_type_name(model),
-        "config": config_snapshot if config_snapshot is not None else model.config.to_dict(),
+        "config": config_snapshot,
         "epoch": int(epoch),
         "bn_initialized": all(bn.initialized for bn in model.bn_states().values()),
         "optimizer": {"learning_rate": optimizer.learning_rate,

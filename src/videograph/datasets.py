@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import read_feature_file, write_feature_file
+from .features import FeatureFileError, read_feature_file, write_feature_file
 
 
 @dataclass
@@ -99,7 +99,11 @@ def load_manifest(manifest_path, num_label_classes: int) -> Dataset:
         bad = [v for v in labels if not 0 <= v < num_label_classes]
         if bad:
             raise ValueError(f"{where}: label {bad[0]} is outside [0, {num_label_classes})")
-        features.append(read_feature_file(base / record["feature_path"]))
+        feature_path = base / record["feature_path"]
+        try:
+            features.append(read_feature_file(feature_path))
+        except (FeatureFileError, OSError) as exc:
+            raise ValueError(f"{where}: feature file {feature_path}: {exc}") from None
         label_rows.append(labels)
     if not features:
         raise ValueError(f"{manifest_path}: empty manifest")

@@ -6,12 +6,6 @@ from grad_check. Central differences are only meaningful at points of
 differentiability, so draws are rejected when any relu input sits within a
 margin of zero or any pooling window has a near-tied maximum.
 
-The channel-mix bias feeds straight into batch norm, which cancels
-per-channel shifts, so its train-mode gradient is mathematically zero and
-finite differences see pure rounding noise there. The full-model checks
-therefore assert that bias gradient is (numerically) zero in train mode and
-finite-difference it in eval mode, where running statistics make it live.
-
 The full-model checks finite-difference every parameter in one `grad_check`
 call (about 7200 tape-less forwards at desk dims), each parameter against
 the loss of its forward stage. `stage_losses` pairs each stage's parameters
@@ -213,11 +207,6 @@ def check_node_attention(rng):
         [x, nodes, params.weight, params.bias])
 
 
-def _bias_gradient_magnitude(f, bias: Tensor) -> float:
-    """Max |analytic gradient| of a parameter: cheap zero-gradient assertion."""
-    return float(np.abs(tz.tape_gradients(f, [bias])[0]).max())
-
-
 def _smallest_live_gradient(f, tensors) -> float:
     """Smallest nonzero |analytic gradient| component across tensors."""
     smallest = np.inf
@@ -247,9 +236,6 @@ def check_graph_embedding(rng):
             f(capture)
         if not _margins_ok(capture):
             continue
-        # train-mode batch norm cancels the channel bias exactly
-        if _bias_gradient_magnitude(f, params.channel_bias) > 1e-10:
-            return 1.0
         return grad_check(f, tensors)
     raise RuntimeError("no well-conditioned draw for graph embedding check")
 
@@ -296,14 +282,9 @@ def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
     full forward.
 
     Train mode is deliberately not finite-differenced end to end: train-mode
-    batch norm cancels per-channel shifts exactly (making bias-like
-    directions mathematically dead, so FD measures pure rounding noise) and
-    constrains its input gradients to sum to zero over the batch, which can
-    push individual true gradients below the FD noise floor. Those
-    train-mode gradients are covered by the per-op and per-block checks;
-    here the train-mode bias gradients are additionally asserted to be
-    (numerically) zero, which is the exact property that makes them
-    un-finite-differentiable.
+    batch norm constrains its input gradients to sum to zero over the batch,
+    which can push individual true gradients below the FD noise floor. Those
+    train-mode gradients are covered by the per-op and per-block checks.
     """
     for _ in range(MAX_DRAW_ATTEMPTS):
         draw = np.random.default_rng(rng.integers(1 << 62))
@@ -325,16 +306,9 @@ def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
         if _smallest_live_gradient(f, list(params.values())) < LIVE_GRADIENT_FLOOR:
             continue
 
-        # finite-difference first: the train-mode forwards of the bias
-        # assertion below blend the running stats the margins were checked on
         stages = stage_losses(model, x, targets)
-        worst = grad_check([loss for group, loss in stages for _ in group],
-                           [t for group, _ in stages for t in group])
-        for name in params:
-            if name.endswith("channel_bias"):
-                if _bias_gradient_magnitude(lambda: f("train"), params[name]) > 1e-10:
-                    return 1.0
-        return worst
+        return grad_check([loss for group, loss in stages for _ in group],
+                          [t for group, _ in stages for t in group])
     raise RuntimeError("no well-conditioned draw for the full-model check")
 
 

@@ -7,7 +7,9 @@ with axis order [timesteps, nodes, height, width, channels]. Graph embedding
 layers then run a per-channel convolution along time, another along the node
 axis, a 1x1 channel-mixing convolution, batch norm, relu, and a 3x3
 non-overlapping max pool over the time and node axes. A two-layer classifier
-head maps the spatially averaged, flattened result to class scores.
+head maps the spatially averaged, flattened result to class scores. Neither
+the channel mixer nor the head's first layer has a bias: batch norm follows
+each directly and would cancel it.
 
 Every block is batch-first: the model's one forward path takes a batch of
 videos (B, T, H, W, C), and a single video is a batch of one.
@@ -201,13 +203,16 @@ class NodeAttentionParams:
 
 
 class GraphEmbeddingParams:
-    """Kernel banks for one graph embedding layer."""
+    """Kernel banks for one graph embedding layer.
+
+    The channel mixer carries no bias: batch norm directly after it would
+    cancel any per-channel shift anyway.
+    """
 
     def __init__(self, channels: int, t: int, n: int, rng: np.random.Generator):
         self.time_kernels = Tensor(fan_in_uniform(rng, (channels, t), t), requires_grad=True)
         self.node_kernels = Tensor(fan_in_uniform(rng, (channels, n), n), requires_grad=True)
         self.channel_mixer = Tensor(fan_in_uniform(rng, (channels, channels), channels), requires_grad=True)
-        self.channel_bias = Tensor(np.zeros((1, channels)), requires_grad=True)
         self.bn = BatchNormState(channels)
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
@@ -215,7 +220,6 @@ class GraphEmbeddingParams:
             f"{prefix}.time_kernels": self.time_kernels,
             f"{prefix}.node_kernels": self.node_kernels,
             f"{prefix}.channel_mixer": self.channel_mixer,
-            f"{prefix}.channel_bias": self.channel_bias,
             f"{prefix}.bn.gamma": self.bn.gamma,
             f"{prefix}.bn.beta": self.bn.beta,
         }
@@ -310,10 +314,8 @@ def graph_embedding_forward(h: Tensor, params: GraphEmbeddingParams, mode: str,
     channels = h.shape[-1]
     h = tz.depthwise_conv1d(h, 1, params.time_kernels)
     h = tz.depthwise_conv1d(h, 2, params.node_kernels)
-    shape = h.shape
-    flat = tz.reshape(h, (-1, channels))
-    flat = tz.add(tz.matmul(flat, params.channel_mixer), params.channel_bias)
-    h = tz.reshape(flat, shape)
+    flat = tz.matmul(tz.reshape(h, (-1, channels)), params.channel_mixer)
+    h = tz.reshape(flat, h.shape)
     h = tz.batch_norm(h, params.bn, mode=mode)
     if capture is not None:
         capture[f"{tag}pre_relu"] = h

@@ -36,10 +36,6 @@ class UnitActionVocabulary:
     noise_sigma: float
 
     @property
-    def num_actions(self) -> int:
-        return self.prototypes.shape[0]
-
-    @property
     def channels(self) -> int:
         return self.prototypes.shape[1]
 

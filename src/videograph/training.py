@@ -1,9 +1,11 @@
 """Training loop, evaluation, and metric logging.
 
-Training is plain shuffled mini-batch SGD at a constant learning rate. Every
-epoch appends one metric row; the per-epoch shuffle stream is derived from
-(seed, epoch) so a run resumed from a checkpoint replays the exact batches
-the uninterrupted run would have seen.
+Training is plain shuffled mini-batch SGD at a constant learning rate. An
+epoch trains every video once, in batches of `batch_size` where the last
+batch also takes the remainder, so train-mode batch norm never normalises a
+small leftover batch. Every epoch appends one metric row; the per-epoch
+shuffle stream is derived from (seed, epoch) so a run resumed from a
+checkpoint replays the exact batches the uninterrupted run would have seen.
 """
 
 from __future__ import annotations
@@ -115,26 +117,28 @@ def _epoch_pass(model, dataset: Dataset, batch_size: int, order: np.ndarray,
                 optimizer: SgdMomentum | None, epoch: int) -> tuple[float, float]:
     """One pass over the dataset; trains when an optimizer is given.
 
-    Returns (mean loss, accuracy-or-mAP over the pass, computed from
-    train-mode outputs).
+    Batches take `batch_size` videos in `order`, and the last full batch
+    also takes the remainder (100 videos at 8 give 11 batches of 8 and one
+    of 12), so train-mode batch norm never sees fewer than `batch_size`
+    videos unless the whole dataset is smaller. Returns (mean loss,
+    accuracy-or-mAP over the pass, computed from train-mode outputs).
     """
-    losses, all_scores, all_idx = [], [], []
-    for start in range(0, len(order), batch_size):
-        idx = order[start:start + batch_size]
+    losses, all_scores = [], []
+    num_batches = max(1, len(order) // batch_size)
+    for batch in range(num_batches):
+        last = batch == num_batches - 1
+        idx = order[batch * batch_size:None if last else (batch + 1) * batch_size]
         with Tape() as tape:
             batch_loss, scores = _batch_metrics(model, dataset, idx, mode="train")
             value = batch_loss.item()
             if not np.isfinite(value):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {start // batch_size}")
+                raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch {batch}")
             if optimizer is not None:
                 optimizer.step(tape.backward(batch_loss))
         losses.append(value)
         all_scores.append(scores)
-        all_idx.append(idx)
 
-    idx = np.concatenate(all_idx)
-    _, metric = _score_metric(dataset.label_mode, np.concatenate(all_scores), dataset.labels[idx])
+    _, metric = _score_metric(dataset.label_mode, np.concatenate(all_scores), dataset.labels[order])
     return float(np.mean(losses)), metric
 
 

@@ -346,6 +346,25 @@ class TestTrainEvalReport:
         assert "train.jsonl:3: label 2 is outside [0, 2)" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: path.write_text("hello" * 20), "bad magic b'hell' at offset 0"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: None, "No such file or directory")],
+        ids=["not-vgft", "directory", "missing"])
+    def test_train_on_bad_feature_file_names_manifest_line_and_path(self, capsys, tmp_path,
+                                                                   make, message):
+        feature = tmp_path / "v.vgft"
+        make(feature)
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"feature_path": "v.vgft", "label": 0}) + "\n")
+        run_cfg = tmp_path / "run.json"
+        run_cfg.write_text(json.dumps({"num_classes": 2, "epochs": 1}))
+        code, _, err = run_cli(capsys, "train", "--config", str(run_cfg), "--data", str(manifest),
+                               "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert f"{manifest}:1: feature file {feature}: " in err
+        assert message in err
+
     def test_train_on_one_manifest_file_reads_each_video_once(self, capsys, tmp_path, monkeypatch):
         data_cfg = tmp_path / "data.json"
         data_cfg.write_text(json.dumps({"num_classes": 2, "T": 16, "H": 1, "W": 1, "C": 16,

@@ -91,7 +91,6 @@ class TestGraphEmbedding:
         params.time_kernels = Tensor(np.tile([0.0, 1.0, 0.0], (c, 1)), requires_grad=True)
         params.node_kernels = Tensor(np.tile([0.0, 1.0, 0.0], (c, 1)), requires_grad=True)
         params.channel_mixer = Tensor(np.eye(c), requires_grad=True)
-        params.channel_bias = Tensor(np.zeros((1, c)), requires_grad=True)
         # eval-mode identity: mean 0, var 1, gamma absorbing the epsilon
         params.bn.running_mean = np.zeros(c)
         params.bn.running_var = np.ones(c)
@@ -128,8 +127,7 @@ class TestGraphEmbedding:
             c = h.shape[-1]
             h = tz.depthwise_conv1d(h, 1, params.time_kernels)
             h = tz.depthwise_conv1d(h, 2, params.node_kernels)
-            flat = tz.add(tz.matmul(tz.reshape(h, (-1, c)), params.channel_mixer),
-                          params.channel_bias)
+            flat = tz.matmul(tz.reshape(h, (-1, c)), params.channel_mixer)
             h = tz.batch_norm(tz.reshape(flat, h.shape), params.bn, mode=mode)
             return tz.max_pool(tz.relu(h), (1, 2))
 

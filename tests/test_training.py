@@ -16,6 +16,7 @@ from videograph import checkpoint
 from videograph import tensor as tz
 from videograph import training
 from videograph.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from videograph.cli import main
 from videograph.datasets import Dataset, load_manifest, write_manifest
 from videograph.metrics import mean_average_precision
 from videograph.model import MODEL_FIELDS, VideoGraphConfig, VideoGraphModel, eval_chunks
@@ -238,24 +239,35 @@ class TestCheckpoint:
             load_checkpoint(ckpt)
 
     @staticmethod
-    def _rewrite_record(ckpt, group, name, shape):
-        """Cut one record to its first values of `shape` (None drops it), then re-seal."""
+    def _rewrite_records(ckpt, edit):
+        """Replace every record by the (record, bytes) pairs `edit(group, record, bytes)`
+        returns for it, then re-seal."""
         manifest = json.loads((ckpt / "manifest.json").read_text())
         payload = (ckpt / "weights.bin").read_bytes()
         chunks, cursor = [], 0
-        for g in ("params", "velocities", "buffers"):
+        for group in ("params", "velocities", "buffers"):
             kept = []
-            for rec in manifest[g]:
+            for rec in manifest[group]:
                 blob = payload[cursor:cursor + 8 * int(np.prod(rec["shape"]))]
                 cursor += len(blob)
-                if (g, rec["name"]) == (group, name):
-                    if shape is None:
-                        continue
-                    rec["shape"], blob = list(shape), blob[:8 * int(np.prod(shape))]
-                chunks.append(blob)
-                kept.append(rec)
-            manifest[g] = kept
+                for new_rec, new_blob in edit(group, rec, blob):
+                    kept.append(new_rec)
+                    chunks.append(new_blob)
+            manifest[group] = kept
         checkpoint._write_sealed(ckpt, manifest, b"".join(chunks))
+
+    @classmethod
+    def _rewrite_record(cls, ckpt, group, name, shape):
+        """Cut one record to its first values of `shape` (None drops it), then re-seal."""
+
+        def edit(g, rec, blob):
+            if (g, rec["name"]) != (group, name):
+                return [(rec, blob)]
+            if shape is None:
+                return []
+            return [({**rec, "shape": list(shape)}, blob[:8 * int(np.prod(shape))])]
+
+        cls._rewrite_records(ckpt, edit)
 
     @pytest.mark.parametrize("group, name, shape", [
         ("params", "classifier.fc2.bias", None),
@@ -270,6 +282,28 @@ class TestCheckpoint:
         self._rewrite_record(ckpt, group, name, shape)
         with pytest.raises(CheckpointError, match=rf"^{group}\b.*{re.escape(name)}"):
             load_checkpoint(ckpt)
+
+    def test_channel_bias_record_of_older_checkpoints_refused(self, tmp_path, capsys):
+        """Checkpoints from before the embedding layer lost its channel bias carry a
+        parameter and a velocity record for it; loading names the record."""
+        _, _, _, ds = self._trained(tmp_path)
+        ckpt = tmp_path / "run" / "checkpoint"
+
+        def add_channel_bias(group, rec, blob):
+            pairs = [(rec, blob)]
+            if group != "buffers" and rec["name"] == "embed0.channel_mixer":
+                channels = rec["shape"][1]
+                pairs.append(({"name": "embed0.channel_bias", "shape": [1, channels]},
+                              bytes(8 * channels)))
+            return pairs
+
+        self._rewrite_records(ckpt, add_channel_bias)
+        message = "params record 'embed0.channel_bias' does not exist in the model"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(ckpt)
+        manifest = write_manifest(ds, tmp_path / "data", "val")
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(manifest)]) == 1
+        assert message in capsys.readouterr().err
 
     @staticmethod
     def _saved_with_snapshot(path, edit):
@@ -380,6 +414,30 @@ class TestTrainingLoop:
         cfg = RunConfig(num_classes=2, epochs=1, seed=8)
         _, log = train(cfg, ds, val_dataset=ds, model=build_model(replace(cfg, seed=9), ds))
         assert log.column("epoch") == [0, 1]
+
+    @pytest.mark.parametrize("videos, sizes", [(100, [8] * 11 + [12]), (5, [5])])
+    def test_remainder_folds_into_the_last_batch(self, monkeypatch, videos, sizes):
+        """Each train-mode pass, the untrained epoch 0 included, sees every video
+        once and no batch below batch_size unless the dataset is smaller."""
+        rng = np.random.default_rng(0)
+        ds = Dataset([rng.normal(size=(16, 1, 1, 16)) for _ in range(videos)],
+                     rng.integers(0, 2, size=videos), "single")
+        index = {f.tobytes(): i for i, f in enumerate(ds.features)}
+        batches = []
+        forward = VideoGraphModel.forward_batch
+
+        def spy(model, x, mode="train", capture=None):
+            if mode == "train":
+                batches.append([index[video.tobytes()] for video in x.data])
+            return forward(model, x, mode, capture)
+
+        monkeypatch.setattr(VideoGraphModel, "forward_batch", spy)
+        train(RunConfig(num_classes=2, epochs=2, batch_size=8), ds, ds)
+        passes = [batches[i:i + len(sizes)] for i in range(0, len(batches), len(sizes))]
+        assert len(passes) == 3
+        for batches_of_pass in passes:
+            assert [len(b) for b in batches_of_pass] == sizes
+            assert sorted(i for b in batches_of_pass for i in b) == list(range(videos))
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(features=[], labels=np.zeros(0, dtype=np.int64), label_mode="single")
