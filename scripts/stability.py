@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Training-stability panel: long desk runs over many seeds, one line per seed.
 
-Each seed trains the desk `RunConfig(seed=s)` for --epochs epochs on the
-`train_desk` benchmark data of that seed (K=4 marginal-confound activities,
-100 train and 100 val videos, built by `fingerprint.load_data`). Val
+Each seed runs the set-up of the `train_desk` benchmark workload
+(`perfbench/workloads.py`: K=4 marginal-confound activities, 100 train and
+100 val videos) and trains its desk run config for --epochs epochs. Val
 accuracy is read as a 5-epoch running median, and per seed the panel prints:
 
   * best: the highest median;
@@ -19,13 +19,18 @@ It writes nothing outside a temporary directory. About 35 s per seed at
 """
 
 import argparse
+import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from fingerprint import load_data
-from videograph import training
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import TrainDesk  # noqa: E402
+
+from videograph import training  # noqa: E402
 
 WINDOW = 5
 DIP_BELOW = 0.4
@@ -70,8 +75,10 @@ def main():
     rows = []
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
-            train_ds, val_ds = load_data(seed, 1, 1, 25, 25, Path(tmp))
-        _, log = training.train(training.RunConfig(seed=seed, epochs=args.epochs), train_ds, val_ds)
+            desk = TrainDesk(seed, Path(tmp))
+            desk.setup()
+        _, log = training.train(replace(desk.config, epochs=args.epochs), desk.train_ds,
+                                desk.val_ds)
         row = panel_row(log.column("val_metric"))
         rows.append(row)
         dip = "-" if row["dip"] is None else row["dip"]

@@ -31,6 +31,8 @@ from .tensor import Tape, Tensor
 METRIC_HEADER = ("epoch", "train_loss", "train_acc", "val_metric", "mean_node_distance")
 # model fields that only shape initialisation, so a resumed run may change them
 INIT_ONLY_FIELDS = ("seed", "init_strategy")
+# run config keys a resumed optimizer must already hold
+OPTIMIZER_FIELDS = ("learning_rate", "momentum", "weight_decay")
 
 
 @dataclass
@@ -172,9 +174,9 @@ def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int =
     return EvalResult(name, metric, scores, scores.argmax(axis=1), dataset.labels)
 
 
-def _check_labels(dataset: Dataset, config: RunConfig, name: str) -> None:
-    """Reject a dataset of another label_mode, or labels the classifier's
-    num_classes outputs cannot score."""
+def _check_dataset(dataset: Dataset, config: RunConfig, name: str) -> None:
+    """Reject a dataset of another label_mode, labels the classifier's
+    num_classes outputs cannot score, or a video not shaped (T, H, W, C)."""
     if dataset.label_mode != config.label_mode:
         raise ValueError(f"{name} dataset is {dataset.label_mode}-label but config key "
                          f"'label_mode' is {config.label_mode!r}")
@@ -183,11 +185,22 @@ def _check_labels(dataset: Dataset, config: RunConfig, name: str) -> None:
         if labels.shape[1:] != (num_classes,):
             raise ValueError(f"{name} dataset has multi-label rows of shape {labels.shape[1:]} "
                              f"but num_classes is {num_classes}")
-        return
-    bad = labels[(labels < 0) | (labels >= num_classes)]
-    if bad.size:
-        raise ValueError(f"{name} dataset label {bad[0]} is outside [0, {num_classes}) "
-                         f"for num_classes {num_classes}")
+    else:
+        bad = labels[(labels < 0) | (labels >= num_classes)]
+        if bad.size:
+            raise ValueError(f"{name} dataset label {bad[0]} is outside [0, {num_classes}) "
+                             f"for num_classes {num_classes}")
+    keys = ("T", "H", "W", "C")
+    expected = tuple(getattr(config, key) for key in keys)
+    for i, features in enumerate(dataset.features):
+        if features.shape == expected:
+            continue
+        where = f"{name} dataset video {i} has shape {features.shape}"
+        if features.ndim != len(keys):
+            raise ValueError(f"{where}, not (T, H, W, C) = {expected}")
+        axis = next(a for a in range(len(keys)) if features.shape[a] != expected[a])
+        raise ValueError(f"{where}: its {keys[axis]} is {features.shape[axis]} but config key "
+                         f"{keys[axis]!r} is {expected[axis]}")
 
 
 def build_model(config: RunConfig, train_dataset: Dataset, baseline: bool = False):
@@ -211,7 +224,8 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset, out_d
     Passing model/optimizer/start_epoch resumes a checkpointed run; epoch
     numbering and shuffling then continue the original stream. The model's
     config must match the run config in every model field but the
-    initialisation-only ones (INIT_ONLY_FIELDS).
+    initialisation-only ones (INIT_ONLY_FIELDS), and the optimizer's settings
+    must match it in OPTIMIZER_FIELDS.
     """
     check_types(config)
     if len(train_dataset) == 0:
@@ -222,14 +236,18 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset, out_d
     if start_epoch >= config.epochs:
         raise ValueError(f"nothing to train: resumed at epoch {start_epoch} with "
                          f"config.epochs={config.epochs}")
+    resumed = []
     if model is not None:
-        for name in MODEL_FIELDS:
-            have, want = getattr(model.config, name), getattr(config, name)
-            if name not in INIT_ONLY_FIELDS and have != want:
-                raise ValueError(f"model config key {name!r} is {have!r} but the run config "
-                                 f"has {want!r}")
+        resumed += [("model config", model.config, name) for name in MODEL_FIELDS
+                    if name not in INIT_ONLY_FIELDS]
+    if optimizer is not None:
+        resumed += [("optimizer", optimizer, name) for name in OPTIMIZER_FIELDS]
+    for owner, source, name in resumed:
+        have, want = getattr(source, name), getattr(config, name)
+        if have != want:
+            raise ValueError(f"{owner} key {name!r} is {have!r} but the run config has {want!r}")
     for name, dataset in (("train", train_dataset), ("val", val_dataset)):
-        _check_labels(dataset, config, name)
+        _check_dataset(dataset, config, name)
 
     if model is None:
         model = build_model(config, train_dataset, baseline=baseline)

@@ -273,6 +273,21 @@ class TestTrainEvalReport:
         assert "'t'" in err
         assert not (tmp_path / "resumed").exists()
 
+    def test_resume_with_changed_optimizer_settings_exits_one(self, workspace, capsys, tmp_path):
+        cfg = tmp_path / "resume.json"
+        cfg.write_text(json.dumps({
+            "T": 16, "N": 8, "H": 1, "W": 1, "C": 16, "num_classes": 2,
+            "num_embedding_layers": 1, "classifier_hidden": 32,
+            "epochs": 10, "batch_size": 4, "seed": 1, "learning_rate": 5.0, "momentum": 0.0,
+        }))
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg),
+                               "--data", str(workspace / "data"),
+                               "--checkpoint", str(workspace / "run" / "checkpoint"),
+                               "--out", str(tmp_path / "resumed"))
+        assert code == 1
+        assert "optimizer key 'learning_rate' is 0.1 but the run config has 5.0" in err
+        assert not (tmp_path / "resumed").exists()
+
     def test_extract_graph_outputs(self, workspace, capsys):
         code, out, _ = run_cli(capsys, "extract-graph",
                                "--checkpoint", str(workspace / "run" / "checkpoint"),

@@ -473,6 +473,25 @@ class TestTrainingLoop:
             train(config, *((bad, good) if which == "train" else (good, bad)))
         assert built == []
 
+    @pytest.mark.parametrize("config, val_data, baseline, message", [
+        (dict(T=17), {}, False,
+         "train dataset video 0 has shape (16, 1, 1, 16): its T is 16 but config key 'T' is 17"),
+        (dict(C=8, init_strategy="kmeans"), {}, False,
+         "train dataset video 0 has shape (16, 1, 1, 16): its C is 16 but config key 'C' is 8"),
+        ({}, dict(T=12), True,
+         "val dataset video 0 has shape (12, 1, 1, 16): its T is 12 but config key 'T' is 16")],
+        ids=["T", "C-kmeans", "baseline-val-T"])
+    def test_video_shapes_checked_before_a_model_is_built(self, monkeypatch, config, val_data,
+                                                          baseline, message):
+        built = []
+        monkeypatch.setattr(training, "build_model", lambda *args, **kwargs: built.append(args))
+        train_ds, _ = tiny_dataset(num_classes=2, per_class=2)
+        val_ds, _ = tiny_dataset(num_classes=2, per_class=2, **val_data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(RunConfig(num_classes=2, epochs=1, **config), train_ds, val_ds,
+                  baseline=baseline)
+        assert built == []
+
     def test_metric_log_strictly_increasing(self):
         log = MetricLog()
         log.append(0, 1.0, 0.5, 0.5, 0.1)
