@@ -5,8 +5,8 @@ A manifest is a JSON-lines file, one record per video:
 or, for multi-label tasks:
     {"feature_path": "...", "labels": [0, 3, 5]}
 Feature paths are resolved relative to the manifest's directory; features are
-stored as VGFT files. `write_manifest` and `load_manifest` are inverses up to
-the float32 storage of features.
+stored as VGFT files. `write_manifest` and `load_manifest` are exact inverses
+for float32 features, which is what generation and VGFT reads both give.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .features import FeatureFileError, read_feature_file, write_feature_file
 class Dataset:
     """Videos' features and labels.
 
-    Features keep the precision they were made or stored in: float32 when
-    read from VGFT files. Batches widen them to float64 exactly where they
-    become a `Tensor`.
+    Features are float32, whether generated by `synthetic.generate_samples`
+    or read from VGFT files, so a dataset equals its written-and-loaded copy.
+    Batches widen them to float64 exactly where they become a `Tensor`.
     """
 
     features: list[np.ndarray]        # each (T, H, W, C)

@@ -8,8 +8,9 @@ stochastic (identical uniform long-run unit-action frequencies) so classes
 differ only in their transition structure; distinct_actions gives each class
 a disjoint slice of the vocabulary instead.
 
-`generate_samples` returns a `datasets.Dataset`: class ids as labels, or for
-label_mode "multi" the indicator of the unit-actions each walk visits.
+`generate_samples` returns a `datasets.Dataset` of float32 features, rounded
+as VGFT files store them: class ids as labels, or for label_mode "multi" the
+indicator of the unit-actions each walk visits.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class ActivityClass:
 
 @dataclass
 class VideoSample:
-    features: np.ndarray            # (T, H, W, C)
+    features: np.ndarray            # (T, H, W, C) float32
     label: int
     actions: np.ndarray             # ground-truth unit-action walk, diagnostics only
 
@@ -160,12 +161,29 @@ def class_vocabulary(cls: ActivityClass) -> np.ndarray:
 
 
 def sample_walk(cls: ActivityClass, length: int, rng: np.random.Generator) -> np.ndarray:
-    num_actions = cls.transition.shape[0]
+    """A walk bitwise equal to one `rng.choice(num_actions, p=row)` per state.
+
+    It draws the same `length + 1` uniforms in one call (the last picks a
+    state the walk does not keep) and maps each through its row's CDF as
+    `choice` does, so later draws from `rng` match too. Each row is checked
+    once, as `choice` checks it: no NaN, none negative, sum within sqrt(eps) of 1.
+    """
+    rows = np.vstack([cls.initial, cls.transition], dtype=np.float64)
+    atol = np.sqrt(np.finfo(np.float64).eps)
+    bad = (rows < 0).any(axis=1) | ~(np.abs(rows.sum(axis=1) - 1.0) <= atol)  # NaN sums fail
+    if bad.any():
+        row = int(np.argmax(bad))
+        name = "initial row" if row == 0 else f"transition row {row - 1}"
+        raise ValueError(f"class {cls.class_id}: {name} {rows[row]} is not a probability "
+                         f"distribution (a NaN, a negative, or a sum off 1 by over {atol:.1e})")
+    cdf = rows.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    uniforms = rng.random(length + 1)
     walk = np.empty(length, dtype=np.int64)
-    state = rng.choice(num_actions, p=cls.initial)
+    state = cdf[0].searchsorted(uniforms[0], side="right")
     for i in range(length):
         walk[i] = state
-        state = rng.choice(num_actions, p=cls.transition[state])
+        state = cdf[1 + state].searchsorted(uniforms[i + 1], side="right")
     return walk
 
 
@@ -176,7 +194,7 @@ def sample_video(cls: ActivityClass, vocab: UnitActionVocabulary,
     walk = sample_walk(cls, T, rng)
     noise = rng.normal(0.0, vocab.noise_sigma, size=(T, vocab.channels)) if vocab.noise_sigma > 0 \
         else np.zeros((T, vocab.channels))
-    per_step = vocab.prototypes[walk] + noise                      # (T, C)
+    per_step = (vocab.prototypes[walk] + noise).astype(np.float32)   # (T, C), as VGFT stores it
     features = np.broadcast_to(per_step[:, None, None, :], (T, H, W, vocab.channels)).copy()
     return VideoSample(features=features, label=cls.class_id, actions=walk)
 

@@ -147,21 +147,25 @@ def _epoch_pass(model, dataset: Dataset, batch_size: int, order: np.ndarray,
 def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int = 0) -> EvalResult:
     """Eval-mode metrics with the sample time axes permuted as requested.
 
-    Video i's time axis is permuted with a seed drawn from (seed, i);
-    "natural" stacks the stored features as they are, with no seed drawn and
-    no index copy. The videos are scored in chunks of `eval_chunks`, one
-    eval-mode forward call each. A video's scores do not depend on its chunk: eval mode has no
-    cross-video statistics, and the classifier head computes each video's
-    row on its own, so the scores are bitwise those of a batch of one.
+    The dataset must be non-empty and shaped as `model.config` says. Under
+    "random", video i's time axis is permuted with a seed drawn from
+    (seed, i); "reversed" draws no seed, and "natural" stacks the stored
+    features as they are, with no index copy. The videos are scored in
+    chunks of `eval_chunks`, one eval-mode forward call each. A video's
+    scores do not depend on its chunk: eval mode has no cross-video
+    statistics, and the classifier head computes each video's row on its
+    own, so the scores are bitwise those of a batch of one.
     """
     if model.label_mode != dataset.label_mode:
         raise ValueError(f"model is {model.label_mode}-label but dataset is {dataset.label_mode}-label")
+    _check_shapes(dataset, model.config, "eval")
 
     def perturbed(i: int) -> np.ndarray:
         feats = dataset.features[i]
         if perturbation == "natural":
             return feats
-        state = np.random.SeedSequence((seed, i)).generate_state(1)[0]
+        state = (np.random.SeedSequence((seed, i)).generate_state(1)[0]
+                 if perturbation == "random" else 0)
         return feats[perturbation_indices(feats.shape[0], perturbation, seed=int(state))]
 
     parts = []
@@ -174,9 +178,27 @@ def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int =
     return EvalResult(name, metric, scores, scores.argmax(axis=1), dataset.labels)
 
 
+def _check_shapes(dataset: Dataset, config: VideoGraphConfig, name: str) -> None:
+    """Reject an empty dataset or a video not shaped (T, H, W, C) of `config`;
+    compares shape tuples only, so it is cheap enough for every `evaluate`."""
+    if len(dataset) == 0:
+        raise ValueError(f"{name} dataset is empty")
+    keys = ("T", "H", "W", "C")
+    expected = tuple(getattr(config, key) for key in keys)
+    for i, features in enumerate(dataset.features):
+        if features.shape == expected:
+            continue
+        where = f"{name} dataset video {i} has shape {features.shape}"
+        if features.ndim != len(keys):
+            raise ValueError(f"{where}, not (T, H, W, C) = {expected}")
+        axis = next(a for a in range(len(keys)) if features.shape[a] != expected[a])
+        raise ValueError(f"{where}: its {keys[axis]} is {features.shape[axis]} but config key "
+                         f"{keys[axis]!r} is {expected[axis]}")
+
+
 def _check_dataset(dataset: Dataset, config: RunConfig, name: str) -> None:
     """Reject a dataset of another label_mode, labels the classifier's
-    num_classes outputs cannot score, or a video not shaped (T, H, W, C)."""
+    num_classes outputs cannot score, or what `_check_shapes` rejects."""
     if dataset.label_mode != config.label_mode:
         raise ValueError(f"{name} dataset is {dataset.label_mode}-label but config key "
                          f"'label_mode' is {config.label_mode!r}")
@@ -190,17 +212,7 @@ def _check_dataset(dataset: Dataset, config: RunConfig, name: str) -> None:
         if bad.size:
             raise ValueError(f"{name} dataset label {bad[0]} is outside [0, {num_classes}) "
                              f"for num_classes {num_classes}")
-    keys = ("T", "H", "W", "C")
-    expected = tuple(getattr(config, key) for key in keys)
-    for i, features in enumerate(dataset.features):
-        if features.shape == expected:
-            continue
-        where = f"{name} dataset video {i} has shape {features.shape}"
-        if features.ndim != len(keys):
-            raise ValueError(f"{where}, not (T, H, W, C) = {expected}")
-        axis = next(a for a in range(len(keys)) if features.shape[a] != expected[a])
-        raise ValueError(f"{where}: its {keys[axis]} is {features.shape[axis]} but config key "
-                         f"{keys[axis]!r} is {expected[axis]}")
+    _check_shapes(dataset, config, name)
 
 
 def build_model(config: RunConfig, train_dataset: Dataset, baseline: bool = False):
@@ -228,8 +240,6 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset, out_d
     must match it in OPTIMIZER_FIELDS.
     """
     check_types(config)
-    if len(train_dataset) == 0:
-        raise ValueError("training dataset is empty")
     if config.epochs < 1 or config.batch_size < 1:
         raise ValueError(f"epochs and batch_size must be positive; got "
                          f"{config.epochs}, {config.batch_size}")

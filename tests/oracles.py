@@ -48,3 +48,15 @@ def loop_force_layout(edge_weights, iterations, seed):
         lengths = np.maximum(np.sqrt((disp ** 2).sum(axis=1, keepdims=True)), 1e-9)
         pos = pos + disp / lengths * np.minimum(lengths, temp)
     return pos
+
+
+def choice_walk(cls, length, rng):
+    """A walk by one `rng.choice` per state: the initial draw, then one per
+    step; the reference for `synthetic.sample_walk`."""
+    num_actions = cls.transition.shape[0]
+    walk = np.empty(length, dtype=np.int64)
+    state = rng.choice(num_actions, p=cls.initial)
+    for i in range(length):
+        walk[i] = state
+        state = rng.choice(num_actions, p=cls.transition[state])
+    return walk

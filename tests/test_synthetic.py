@@ -9,6 +9,8 @@ from videograph.synthetic import (PERTURBATION_MODES, ActivityClass, DatasetConf
                                   make_vocabulary, multi_label_vector, perturbation_indices,
                                   sample_video, sample_walk)
 
+from oracles import choice_walk
+
 
 def empirical_histogram(cls, steps, seed=0):
     walk = sample_walk(cls, steps, np.random.default_rng(seed))
@@ -101,11 +103,39 @@ class TestSampling:
         cls = make_class_set(2, 4, "marginal_confound", seed=0)[0]
         vocab = make_vocabulary(4, 8, seed=0, noise_sigma=0.0)
         sample = sample_video(cls, vocab, T=10, H=2, W=2, seed=1)
+        assert sample.features.dtype == np.float32
         for t, action in enumerate(sample.actions):
             for h in range(2):
                 for w in range(2):
                     np.testing.assert_array_equal(sample.features[t, h, w],
-                                                  vocab.prototypes[action])
+                                                  vocab.prototypes[action].astype(np.float32))
+
+    @pytest.mark.parametrize("kind", ["marginal_confound", "distinct_actions", "dirichlet"])
+    def test_walk_bitwise_equals_per_step_choice(self, kind):
+        for seed in range(20):
+            if kind == "dirichlet":  # uneven rows, so every CDF step differs
+                rows = np.random.default_rng(seed).dirichlet(np.ones(5), size=6)
+                classes = [ActivityClass(class_id=0, transition=rows[1:], initial=rows[0])]
+            else:
+                classes = make_class_set(3, 6, kind, seed=seed)
+            for length in (1, 2, 3, 16, 17, 63, 64):
+                cls = classes[length % len(classes)]
+                ours, ref = (np.random.default_rng((seed, length)) for _ in range(2))
+                walk = sample_walk(cls, length, ours)
+                assert walk.dtype == np.int64
+                assert walk.tobytes() == choice_walk(cls, length, ref).tobytes(), (seed, length)
+                assert ours.normal() == ref.normal(), (seed, length)
+
+    @pytest.mark.parametrize("initial, transition, row", [
+        ([0.5, 0.5], [[1.0, 0.0], [1.5, -0.5]], "transition row 1"),
+        ([0.5, 0.5], [[0.6, 0.6], [0.0, 1.0]], "transition row 0"),
+        ([0.5, 0.5], [[np.nan, 1.0], [0.0, 1.0]], "transition row 0"),
+        ([0.2, 0.5], [[1.0, 0.0], [0.0, 1.0]], "initial row"),
+    ], ids=["negative", "not-normalised", "nan", "initial"])
+    def test_bad_probability_row_names_class_and_row(self, initial, transition, row):
+        cls = ActivityClass(class_id=3, transition=np.array(transition), initial=np.array(initial))
+        with pytest.raises(ValueError, match=f"class 3: {row} "):
+            sample_walk(cls, 4, np.random.default_rng(0))
 
     def test_bigram_frequencies_match_transition_matrix(self):
         cls = make_class_set(2, 4, "marginal_confound", seed=2)[1]

@@ -84,11 +84,12 @@ class _OracleStub:
     label_mode = "single"
 
     def __init__(self, dataset, num_classes):
-        self.lookup = {feat.tobytes(): label
-                       for feat, label in zip(dataset.features, dataset.labels)}
-        self.sorted_lookup = {np.sort(feat, axis=0).tobytes(): label
+        # keyed on the float64 bytes that forward_batch receives
+        self.sorted_lookup = {np.sort(feat.astype(np.float64), axis=0).tobytes(): label
                               for feat, label in zip(dataset.features, dataset.labels)}
         self.num_classes = num_classes
+        self.config = VideoGraphConfig(num_classes=num_classes,
+                                       **dict(zip("THWC", dataset.features[0].shape)))
 
     def forward_batch(self, x, mode="train"):
         scores = np.zeros((x.shape[0], self.num_classes))
@@ -102,6 +103,7 @@ class _RandomStub:
 
     def __init__(self, num_classes, seed=0):
         self.num_classes = num_classes
+        self.config = VideoGraphConfig(num_classes=num_classes)
         self.rng = np.random.default_rng(seed)
 
     def forward_batch(self, x, mode="train"):
@@ -137,6 +139,29 @@ class TestEvaluate:
         stub.label_mode = "multi"
         with pytest.raises(ValueError, match="label"):
             evaluate(stub, ds)
+
+    def test_video_shape_checked_against_the_model(self):
+        ds, _ = tiny_dataset()
+        model, _ = train(RunConfig(num_classes=2, epochs=1, seed=0), ds, ds, baseline=True)
+        short, _ = tiny_dataset(T=12)
+        with pytest.raises(ValueError, match=r"eval dataset video 0 has shape \(12, 1, 1, 16\): "
+                                             r"its T is 12 but config key 'T' is 16"):
+            evaluate(model, short)
+
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(features=[], labels=np.zeros(0, dtype=np.int64), label_mode="single")
+        with pytest.raises(ValueError, match="eval dataset is empty"):
+            evaluate(_RandomStub(2), empty)
+
+    @pytest.mark.parametrize("mode, draws", [("natural", 0), ("reversed", 0), ("random", 12)])
+    def test_only_random_order_derives_seeds(self, monkeypatch, mode, draws):
+        ds, _ = tiny_dataset()
+        derived = []
+        seed_sequence = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence",
+                            lambda *args: derived.append(args) or seed_sequence(*args))
+        evaluate(_RandomStub(2), ds, perturbation=mode, seed=4)
+        assert len(derived) == draws
 
 
 class TestMeanPoolBaseline:
@@ -527,6 +552,26 @@ class TestManifests:
         assert len(loaded) == len(ds)
         for a, b in zip(loaded.features, ds.features):
             assert a.tobytes() == b.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("label_mode", ["single", "multi"])
+    def test_generated_dataset_round_trips_bitwise(self, tmp_path, label_mode):
+        cfg = DatasetConfig(num_classes=2, H=2, W=3, label_mode=label_mode, seed=4)
+        ds = generate_samples(cfg, 3, salt=0)
+        k = cfg.num_classes if label_mode == "single" else cfg.num_actions
+        loaded = load_manifest(write_manifest(ds, tmp_path, "train"), num_label_classes=k)
+        for a, b in zip(loaded.features, ds.features, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_train_in_memory_equals_train_on_loaded_copy(self, tmp_path, baseline):
+        cfg = DatasetConfig(num_classes=2, seed=6)
+        generated = [generate_samples(cfg, 4, salt=salt) for salt in (0, 1)]
+        loaded = [load_manifest(write_manifest(ds, tmp_path, name), num_label_classes=2)
+                  for ds, name in zip(generated, ("train", "val"))]
+        config = RunConfig(num_classes=2, epochs=3, batch_size=4, seed=6)
+        rows = [train(config, *pair, baseline=baseline)[1].to_csv()
+                for pair in (generated, loaded)]
+        assert rows[0] == rows[1]
 
     def test_features_stay_float32(self, tmp_path):
         ds = generate_samples(DatasetConfig(num_classes=2, seed=1), 2, salt=0)
