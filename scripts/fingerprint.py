@@ -7,7 +7,9 @@ the datasets they built, as read back through `load_manifest`; the desk
 `train()` loss trajectory over epochs 0-3 (the benchmark reports the same
 value as `loss_trajectory_sha256`); the `evaluate()` scores of the
 `eval_grid` graph model and mean-pool baseline under each perturbation;
-and the two checkpoints that set-up saves. Then it prints the `float.hex`
+the two checkpoints that set-up saves; and the graph model's per-class
+activation stacks (`collect_activation_stacks`, which `extract-graph`
+reads) on the `eval_grid` val set. Then it prints the `float.hex`
 of every check's max error in `run_gradient_suite(seed)` and the `repr`
 of `shape_inference(full_scale_config())`.
 
@@ -29,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from workloads import PERTURBATIONS, TRAJECTORY_EPOCHS, EvalGrid, TrainDesk  # noqa: E402
 
-from videograph import checkpoint, datasets, gradsuite, model, training  # noqa: E402
+from videograph import analysis, checkpoint, datasets, gradsuite, model, training  # noqa: E402
 
 
 def sha256(data: bytes) -> str:
@@ -65,6 +67,15 @@ def eval_lines(grid: EvalGrid):
     yield f"checkpoint_sha256 {sha256(saved)}"
 
 
+def extract_graph_fingerprint(grid: EvalGrid) -> str:
+    digest = hashlib.sha256()
+    for class_id, stack in analysis.collect_activation_stacks(grid.models["graph"],
+                                                              grid.val_ds).items():
+        digest.update(str(class_id).encode())
+        digest.update(stack.activations.tobytes())
+    return digest.hexdigest()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -81,6 +92,7 @@ def main():
         print(f"data_sha256 {data_fingerprint(loaded)}")
         print(f"train loss_trajectory_sha256 {train_fingerprint(desk)}")
         print("\n".join(eval_lines(grid)))
+        print(f"extract_graph_sha256 {extract_graph_fingerprint(grid)}")
     for result in gradsuite.run_gradient_suite(seed=args.seed):
         print(f"gradsuite {result.name} {result.max_error.hex()}")
     print(f"full_scale_shapes {model.shape_inference(model.full_scale_config())!r}")

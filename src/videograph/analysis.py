@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tz
-from .model import VideoGraphModel, eval_chunks, model_type_name
+from .model import VideoGraphModel, eval_chunks, model_type_name, node_attention_forward
 from .tensor import Tensor
 
 NODE_SIZE_RANGE = (0.2, 2.0)
@@ -89,21 +89,22 @@ def collect_activation_stacks(model, dataset) -> dict[int, ActivationStack]:
     """Per-class activation stacks from eval-mode forwards (single-label only).
 
     The final embedding layer's output is averaged over the spatial grid, so
-    each video contributes a (T', N', C) slice to its class's stack. Videos
-    run in the chunks `evaluate` uses.
+    each video contributes a (T', N', C) slice to its class's stack. The
+    dataset must pass `Dataset.check` against `model.config`, and videos run
+    in the chunks `evaluate` uses, through attention and the embedding layers.
     """
     if not isinstance(model, VideoGraphModel):
         raise ValueError(f"activity graphs need a videograph model; got {model_type_name(model)}")
     if dataset.label_mode != "single":
         raise ValueError("activity graphs are extracted per class; needs a single-label dataset")
+    dataset.check(model.config, "extract-graph")
     per_class: dict[int, list[np.ndarray]] = {}
     with tz.stop_recording():
         for chunk in eval_chunks(dataset.features):
-            capture: dict = {}
-            model.forward_batch(Tensor(np.stack(dataset.features[chunk])), mode="eval",
-                                capture=capture)
+            video = node_attention_forward(Tensor(np.stack(dataset.features[chunk])),
+                                           model.nodes, model.attention)
             # emb: (T', N', H, W, C) per video
-            for emb, label in zip(capture["embedding_output"].data, dataset.labels[chunk]):
+            for emb, label in zip(model.embed(video, "eval").data, dataset.labels[chunk]):
                 per_class.setdefault(int(label), []).append(emb.mean(axis=(2, 3)))
     return {cid: ActivationStack(np.stack(slices)) for cid, slices in sorted(per_class.items())}
 

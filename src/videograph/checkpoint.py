@@ -138,9 +138,15 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise CheckpointError(f"manifest and payload crc mismatch: stored {stored:#010x}, "
                               f"computed {crc:#010x}")
 
-    model_type = manifest["model_type"]
+    missing = [key for key in ("model_type", "config", "epoch") if key not in manifest]
+    if missing:
+        raise CheckpointError(f"{manifest_path} lacks key(s) {missing}")
+    model_type, epoch = manifest["model_type"], manifest["epoch"]
     if model_type not in MODEL_TYPES:
         raise CheckpointError(f"unknown model type {model_type!r}")
+    if type(epoch) is not int or epoch < 0:  # excludes bool
+        raise CheckpointError(f"manifest key 'epoch' must be a non-negative integer; "
+                              f"got {epoch!r}")
     snapshot = manifest["config"]
     missing = [name for name in MODEL_FIELDS if name not in snapshot]
     if missing:
@@ -161,5 +167,4 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     if manifest.get("bn_initialized", False):
         for bn in model.bn_states().values():
             bn.initialized = True
-    return LoadedCheckpoint(model=model, optimizer=optimizer, epoch=manifest["epoch"],
-                            config=snapshot)
+    return LoadedCheckpoint(model=model, optimizer=optimizer, epoch=epoch, config=snapshot)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureFileError, read_feature_file, write_feature_file
+from .model import VideoGraphConfig
 
 
 @dataclass
@@ -40,6 +41,37 @@ class Dataset:
         indices = np.asarray(indices)
         return Dataset(features=[self.features[i] for i in indices],
                        labels=self.labels[indices], label_mode=self.label_mode)
+
+    def check(self, config: VideoGraphConfig, split: str) -> None:
+        """Reject what a model of `config` cannot score: no videos, another
+        label_mode, labels outside its num_classes outputs, or a video not
+        shaped (T, H, W, C). Cheap enough for every `evaluate`."""
+        if len(self) == 0:
+            raise ValueError(f"{split} dataset is empty")
+        if self.label_mode != config.label_mode:
+            raise ValueError(f"{split} dataset is {self.label_mode}-label but config key "
+                             f"'label_mode' is {config.label_mode!r}")
+        num_classes = config.num_classes
+        if self.label_mode == "multi":
+            if self.labels.shape[1:] != (num_classes,):
+                raise ValueError(f"{split} dataset has multi-label rows of shape "
+                                 f"{self.labels.shape[1:]} but num_classes is {num_classes}")
+        else:
+            bad = self.labels[(self.labels < 0) | (self.labels >= num_classes)]
+            if bad.size:
+                raise ValueError(f"{split} dataset label {bad[0]} is outside [0, {num_classes}) "
+                                 f"for num_classes {num_classes}")
+        keys = ("T", "H", "W", "C")
+        expected = tuple(getattr(config, key) for key in keys)
+        for i, features in enumerate(self.features):
+            if features.shape == expected:
+                continue
+            where = f"{split} dataset video {i} has shape {features.shape}"
+            if features.ndim != len(keys):
+                raise ValueError(f"{where}, not (T, H, W, C) = {expected}")
+            axis = next(a for a in range(len(keys)) if features.shape[a] != expected[a])
+            raise ValueError(f"{where}: its {keys[axis]} is {features.shape[axis]} but config key "
+                             f"{keys[axis]!r} is {expected[axis]}")
 
 
 def write_manifest(dataset: Dataset, out_dir, name: str) -> Path:

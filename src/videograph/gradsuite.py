@@ -67,7 +67,7 @@ def _distinct_values(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 def _min_pool_gap(arr: np.ndarray, axes: tuple) -> float:
     """Smallest (max - runner-up) over the `max_pool` windows whose max is positive.
 
-    All-zero windows are fine: relu already blocks gradient flow there.
+    The relu after the pool blocks gradient flow through the other windows.
     """
     rows = tz.pool_windows(arr, axes).flat()
     top2 = np.sort(rows.reshape(-1, rows.shape[-1]), axis=1)[:, -2:]
@@ -76,15 +76,14 @@ def _min_pool_gap(arr: np.ndarray, axes: tuple) -> float:
     return float(gaps[live].min()) if live.any() else np.inf
 
 
-def _margins_ok(capture: dict) -> bool:
-    for key, value in capture.items():
-        if key.endswith("pre_relu"):
-            if np.abs(value.data).min() < RELU_MARGIN:
-                return False
-        elif key.endswith("pre_pool"):
-            h, axes = value
-            if _min_pool_gap(h.data, axes) < POOL_GAP_MARGIN:
-                return False
+def _margins_ok(bn_outputs: list[Tensor]) -> bool:
+    """Whether every batch-norm output (a relu input) clears RELU_MARGIN, and
+    every live pool window of the 6-D graph-embedding ones POOL_GAP_MARGIN."""
+    for h in bn_outputs:
+        if np.abs(h.data).min() < RELU_MARGIN:
+            return False
+        if h.ndim == 6 and _min_pool_gap(h.data, (1, 2)) < POOL_GAP_MARGIN:
+            return False
     return True
 
 
@@ -231,7 +230,7 @@ def check_graph_embedding(rng):
             out = graph_embedding_forward(x, params, "train", capture=capture)
             return _sum_all(tz.mul(out, w))
 
-        capture: dict = {}
+        capture: list = []
         with tz.stop_recording():
             f(capture)
         if not _margins_ok(capture):
@@ -258,13 +257,13 @@ def stage_losses(model: VideoGraphModel, x: Tensor,
         return [p for name, p in model.named_parameters().items() if name.startswith(prefixes)]
 
     def loss(scores: Tensor) -> Tensor:
-        return tz.loss(scores, targets, model.label_mode)
+        return tz.loss(scores, targets, model.config.label_mode)
 
     return [
         (group("nodes", "attention."), lambda: loss(model.forward_batch(x, mode="eval"))),
         (group("embed"), lambda: loss(model.classify(model.embed(video, "eval"), "eval"))),
         (group("classifier."),
-         lambda: loss(model.classifier.forward(head_input, "eval", model.label_mode))),
+         lambda: loss(model.classifier.forward(head_input, "eval", model.config.label_mode))),
     ]
 
 
@@ -295,9 +294,9 @@ def _model_loss_check(config: VideoGraphConfig, rng, batch: int) -> float:
 
         def f(mode="eval", capture=None):
             scores = model.forward_batch(x, mode=mode, capture=capture)
-            return tz.loss(scores, targets, model.label_mode)
+            return tz.loss(scores, targets, model.config.label_mode)
 
-        eval_capture: dict = {}
+        eval_capture: list = []
         with tz.stop_recording():
             f(mode="train")            # populates BN running stats
             f(capture=eval_capture)

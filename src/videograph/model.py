@@ -240,11 +240,11 @@ class ClassifierHead:
         self.fc2_weight = Tensor(fan_in_uniform(rng, (hidden, num_classes), hidden), requires_grad=True)
         self.fc2_bias = Tensor(np.zeros((1, num_classes)), requires_grad=True)
 
-    def forward(self, x: Tensor, mode: str, label_mode: str, capture: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor, mode: str, label_mode: str, capture: list | None = None) -> Tensor:
         h = tz.matmul(x, self.fc1_weight, independent_rows=True)
         h = tz.batch_norm(h, self.bn, mode=mode)
         if capture is not None:
-            capture["classifier.pre_relu"] = h
+            capture.append(h)
         h = tz.relu(h)
         logits = tz.add(tz.matmul(h, self.fc2_weight, independent_rows=True), self.fc2_bias)
         if label_mode == "single":
@@ -299,14 +299,15 @@ def node_attention_forward(x: Tensor, nodes: Tensor, params: NodeAttentionParams
 
 
 def graph_embedding_forward(h: Tensor, params: GraphEmbeddingParams, mode: str,
-                            capture: dict | None = None, tag: str = "") -> Tensor:
+                            capture: list | None = None) -> Tensor:
     """One graph embedding layer over video tensors (B, T, N, H, W, C).
 
     Conv along time, conv along nodes, channel mix, BN, relu, 3x3 pool.
     The pool runs before the relu: relu is monotone, so relu(max) is the
     max of the relu'd window, and both orders route a window's gradient to
     its first maximum when that is positive and pass zero otherwise. The
-    relu then touches at most a ninth of the values.
+    relu then touches at most a ninth of the values. A `capture` list
+    receives the batch-norm output.
     """
     h = tz.as_tensor(h)
     if h.ndim != 6:
@@ -318,8 +319,7 @@ def graph_embedding_forward(h: Tensor, params: GraphEmbeddingParams, mode: str,
     h = tz.reshape(flat, h.shape)
     h = tz.batch_norm(h, params.bn, mode=mode)
     if capture is not None:
-        capture[f"{tag}pre_relu"] = h
-        capture[f"{tag}pre_pool"] = (Tensor(np.maximum(h.data, 0.0)), (1, 2))
+        capture.append(h)
     return tz.relu(tz.max_pool(h, (1, 2)))
 
 
@@ -366,8 +366,9 @@ class VideoGraphModel:
 
     # -- forward passes -------------------------------------------------------
 
-    def forward_batch(self, x: Tensor, mode: str = "train", capture: dict | None = None) -> Tensor:
-        """Scores for a batch of videos (B, T, H, W, C) -> (B, num_classes)."""
+    def forward_batch(self, x: Tensor, mode: str = "train", capture: list | None = None) -> Tensor:
+        """Scores for a batch of videos (B, T, H, W, C) -> (B, num_classes); a
+        `capture` list receives each batch-norm output in forward order."""
         x = tz.as_tensor(x)
         cfg = self.config
         if x.ndim != 5 or x.shape[1:] != (cfg.T, cfg.H, cfg.W, cfg.C):
@@ -378,15 +379,13 @@ class VideoGraphModel:
         h = self.embed(node_attention_forward(x, self.nodes, self.attention), mode, capture)
         return self.classify(h, mode, capture)
 
-    def embed(self, h: Tensor, mode: str, capture: dict | None = None) -> Tensor:
+    def embed(self, h: Tensor, mode: str, capture: list | None = None) -> Tensor:
         """Graph embedding layers: video tensors (B, T, N, H, W, C) -> (B, T', N', H, W, C)."""
-        for i, emb in enumerate(self.embeddings):
-            h = graph_embedding_forward(h, emb, mode, capture=capture, tag=f"embed{i}.")
-        if capture is not None:
-            capture["embedding_output"] = h
+        for emb in self.embeddings:
+            h = graph_embedding_forward(h, emb, mode, capture=capture)
         return h
 
-    def classify(self, h: Tensor, mode: str, capture: dict | None = None) -> Tensor:
+    def classify(self, h: Tensor, mode: str, capture: list | None = None) -> Tensor:
         """Classifier head over embedded video tensors -> scores (B, num_classes)."""
         return self.classifier.forward(self.classifier_input(h), mode, self.config.label_mode,
                                        capture=capture)
@@ -395,10 +394,6 @@ class VideoGraphModel:
         """Spatial mean and flatten: embedded video tensors -> (B, classifier_input_dim)."""
         pooled = tz.mean(h, axes=(3, 4))                           # (B, T', N', C)
         return tz.reshape(pooled, (h.shape[0], self.classifier_input_dim))
-
-    @property
-    def label_mode(self) -> str:
-        return self.config.label_mode
 
 
 class MeanPoolBaseline:
@@ -421,16 +416,12 @@ class MeanPoolBaseline:
     def bn_states(self) -> dict[str, BatchNormState]:
         return {"classifier.bn": self.classifier.bn}
 
-    def forward_batch(self, x: Tensor, mode: str = "train", capture: dict | None = None) -> Tensor:
+    def forward_batch(self, x: Tensor, mode: str = "train", capture: list | None = None) -> Tensor:
         x = tz.as_tensor(x)
         if x.ndim != 5:
             raise ShapeError(f"expected batch shaped (B, T, H, W, C); got {x.shape}")
         pooled = tz.mean_exact(x, axes=(1, 2, 3))                  # (B, C)
         return self.classifier.forward(pooled, mode, self.config.label_mode)
-
-    @property
-    def label_mode(self) -> str:
-        return self.config.label_mode
 
 
 MODEL_TYPES = {"videograph": VideoGraphModel, "mean_pool": MeanPoolBaseline}

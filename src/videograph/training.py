@@ -147,7 +147,7 @@ def _epoch_pass(model, dataset: Dataset, batch_size: int, order: np.ndarray,
 def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int = 0) -> EvalResult:
     """Eval-mode metrics with the sample time axes permuted as requested.
 
-    The dataset must be non-empty and shaped as `model.config` says. Under
+    The dataset must pass `Dataset.check` against `model.config`. Under
     "random", video i's time axis is permuted with a seed drawn from
     (seed, i); "reversed" draws no seed, and "natural" stacks the stored
     features as they are, with no index copy. The videos are scored in
@@ -156,9 +156,7 @@ def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int =
     statistics, and the classifier head computes each video's row on its
     own, so the scores are bitwise those of a batch of one.
     """
-    if model.label_mode != dataset.label_mode:
-        raise ValueError(f"model is {model.label_mode}-label but dataset is {dataset.label_mode}-label")
-    _check_shapes(dataset, model.config, "eval")
+    dataset.check(model.config, "eval")
 
     def perturbed(i: int) -> np.ndarray:
         feats = dataset.features[i]
@@ -176,43 +174,6 @@ def evaluate(model, dataset: Dataset, perturbation: str = "natural", seed: int =
     scores = np.concatenate(parts)
     name, metric = _score_metric(dataset.label_mode, scores, dataset.labels)
     return EvalResult(name, metric, scores, scores.argmax(axis=1), dataset.labels)
-
-
-def _check_shapes(dataset: Dataset, config: VideoGraphConfig, name: str) -> None:
-    """Reject an empty dataset or a video not shaped (T, H, W, C) of `config`;
-    compares shape tuples only, so it is cheap enough for every `evaluate`."""
-    if len(dataset) == 0:
-        raise ValueError(f"{name} dataset is empty")
-    keys = ("T", "H", "W", "C")
-    expected = tuple(getattr(config, key) for key in keys)
-    for i, features in enumerate(dataset.features):
-        if features.shape == expected:
-            continue
-        where = f"{name} dataset video {i} has shape {features.shape}"
-        if features.ndim != len(keys):
-            raise ValueError(f"{where}, not (T, H, W, C) = {expected}")
-        axis = next(a for a in range(len(keys)) if features.shape[a] != expected[a])
-        raise ValueError(f"{where}: its {keys[axis]} is {features.shape[axis]} but config key "
-                         f"{keys[axis]!r} is {expected[axis]}")
-
-
-def _check_dataset(dataset: Dataset, config: RunConfig, name: str) -> None:
-    """Reject a dataset of another label_mode, labels the classifier's
-    num_classes outputs cannot score, or what `_check_shapes` rejects."""
-    if dataset.label_mode != config.label_mode:
-        raise ValueError(f"{name} dataset is {dataset.label_mode}-label but config key "
-                         f"'label_mode' is {config.label_mode!r}")
-    labels, num_classes = dataset.labels, config.num_classes
-    if dataset.label_mode == "multi":
-        if labels.shape[1:] != (num_classes,):
-            raise ValueError(f"{name} dataset has multi-label rows of shape {labels.shape[1:]} "
-                             f"but num_classes is {num_classes}")
-    else:
-        bad = labels[(labels < 0) | (labels >= num_classes)]
-        if bad.size:
-            raise ValueError(f"{name} dataset label {bad[0]} is outside [0, {num_classes}) "
-                             f"for num_classes {num_classes}")
-    _check_shapes(dataset, config, name)
 
 
 def build_model(config: RunConfig, train_dataset: Dataset, baseline: bool = False):
@@ -243,6 +204,8 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset, out_d
     if config.epochs < 1 or config.batch_size < 1:
         raise ValueError(f"epochs and batch_size must be positive; got "
                          f"{config.epochs}, {config.batch_size}")
+    if start_epoch < 0:
+        raise ValueError(f"start_epoch must be non-negative; got {start_epoch}")
     if start_epoch >= config.epochs:
         raise ValueError(f"nothing to train: resumed at epoch {start_epoch} with "
                          f"config.epochs={config.epochs}")
@@ -256,8 +219,8 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset, out_d
         have, want = getattr(source, name), getattr(config, name)
         if have != want:
             raise ValueError(f"{owner} key {name!r} is {have!r} but the run config has {want!r}")
-    for name, dataset in (("train", train_dataset), ("val", val_dataset)):
-        _check_dataset(dataset, config, name)
+    for split, dataset in (("train", train_dataset), ("val", val_dataset)):
+        dataset.check(config, split)
 
     if model is None:
         model = build_model(config, train_dataset, baseline=baseline)

@@ -60,3 +60,29 @@ def choice_walk(cls, length, rng):
         walk[i] = state
         state = rng.choice(num_actions, p=cls.transition[state])
     return walk
+
+
+def loop_min_pool_gap(arr, axes, kernel=3):
+    """(max - runner-up) of each window in turn, over the windows whose max is positive."""
+    counts = tuple(n // kernel if i in axes else n for i, n in enumerate(arr.shape))
+    smallest = np.inf
+    for idx in np.ndindex(counts):
+        window = arr[tuple(slice(kernel * j, kernel * j + kernel) if i in axes else slice(j, j + 1)
+                           for i, j in enumerate(idx))]
+        top = np.sort(window.reshape(-1))
+        if top[-1] > 0:
+            smallest = min(smallest, top[-1] - top[-2])
+    return smallest
+
+
+def relu_copy_margins_ok(bn_outputs, relu_margin, gap_margin):
+    """The gradient suite's draw-rejection rule on relu'd copies: every batch-norm
+    output (a relu input) is at least `relu_margin` from zero, and every 6-D
+    graph-embedding one, relu'd, has a pool gap of at least `gap_margin` over
+    axes (1, 2) in the windows whose maximum is positive; the reference for
+    `gradsuite._margins_ok`."""
+    for h in bn_outputs:
+        if np.abs(h).min() < relu_margin:
+            return False
+    relu_copies = [np.maximum(h, 0.0) for h in bn_outputs if h.ndim == 6]
+    return all(loop_min_pool_gap(h, (1, 2)) >= gap_margin for h in relu_copies)

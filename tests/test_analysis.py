@@ -1,6 +1,7 @@
 """Node-distance tracking, graph extraction, layout, confusion, export."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from videograph.analysis import (ActivationStack, ExtractedGraph, collect_activa
                                  confusion_matrix, extract_activity_graph, export_graph,
                                  force_layout, graph_to_dot, track_node_distances,
                                  write_confusion_csv)
+from videograph.datasets import Dataset
+from videograph.model import VideoGraphConfig, VideoGraphModel
+from videograph.synthetic import DatasetConfig, generate_samples
 
 from oracles import loop_force_layout
 
@@ -88,7 +92,7 @@ class TestExtraction:
 
     def test_collect_stacks_from_model(self):
         from videograph import tensor as tz
-        from videograph.model import VideoGraphConfig, VideoGraphModel
+        from videograph.model import VideoGraphConfig, VideoGraphModel, node_attention_forward
         from videograph.synthetic import DatasetConfig, generate_samples
         from videograph.tensor import Tensor
 
@@ -98,15 +102,30 @@ class TestExtraction:
         stacks = collect_activation_stacks(model, ds)
         assert sorted(stacks) == [0, 1]
         assert stacks[0].activations.shape == (3, 5, 2, 16)
-        # bitwise the per-video captures, although the videos run as one batch
+        # bitwise each video's embedding alone, although the videos run as one batch
         for label in (0, 1):
             per_video = []
             for feats in np.asarray(ds.features)[ds.labels == label]:
-                capture = {}
                 with tz.stop_recording():
-                    model.forward_batch(Tensor(feats[None]), mode="eval", capture=capture)
-                per_video.append(capture["embedding_output"].data[0].mean(axis=(2, 3)))
+                    video = node_attention_forward(Tensor(feats[None]), model.nodes,
+                                                   model.attention)
+                    embedded = model.embed(video, "eval")
+                per_video.append(embedded.data[0].mean(axis=(2, 3)))
             assert stacks[label].activations.tobytes() == np.stack(per_video).tobytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ds: generate_samples(DatasetConfig(num_classes=2, T=12, seed=0), 1, salt=0),
+         "extract-graph dataset video 0 has shape (12, 1, 1, 16): its T is 12 but config key "
+         "'T' is 16"),
+        (lambda ds: ds.subset(np.arange(0)), "extract-graph dataset is empty"),
+        (lambda ds: Dataset(ds.features, ds.labels + 5, "single"),
+         "extract-graph dataset label 5 is outside [0, 2) for num_classes 2")],
+        ids=["T", "empty", "labels"])
+    def test_dataset_checked_against_the_model(self, edit, message):
+        ds = generate_samples(DatasetConfig(num_classes=2, seed=0), 1, salt=0)
+        # refused before any forward: this model's batch norm never saw a train batch
+        with pytest.raises(ValueError, match=re.escape(message)):
+            collect_activation_stacks(VideoGraphModel(VideoGraphConfig(num_classes=2)), edit(ds))
 
     def test_baseline_rejected_by_type_before_any_forward(self):
         from videograph.model import MeanPoolBaseline, VideoGraphConfig

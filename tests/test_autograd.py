@@ -15,6 +15,8 @@ from videograph.model import VideoGraphConfig, VideoGraphModel
 from videograph.optim import SgdMomentum
 from videograph.tensor import ShapeError, Tape, Tensor, grad_check
 
+from oracles import loop_min_pool_gap, relu_copy_margins_ok
+
 
 class TestClosedFormGradients:
     def test_sigmoid_derivative_at_zero(self):
@@ -170,19 +172,6 @@ class TestTapeGradients:
         np.testing.assert_array_equal(grads[0], 2.0 * a.data / 3.0)
 
 
-def loop_min_pool_gap(arr, axes, kernel=3):
-    """(max - runner-up) of each window in turn, over the windows whose max is positive."""
-    counts = tuple(n // kernel if i in axes else n for i, n in enumerate(arr.shape))
-    smallest = np.inf
-    for idx in np.ndindex(counts):
-        window = arr[tuple(slice(kernel * j, kernel * j + kernel) if i in axes else slice(j, j + 1)
-                           for i, j in enumerate(idx))]
-        top = np.sort(window.reshape(-1))
-        if top[-1] > 0:
-            smallest = min(smallest, top[-1] - top[-2])
-    return smallest
-
-
 class TestMinPoolGap:
     @given(st.integers(1, 3), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -200,6 +189,59 @@ class TestMinPoolGap:
         arr[0, 0, 0] = 0.0
         assert gradsuite._min_pool_gap(arr, (0, 1)) == np.inf
         assert loop_min_pool_gap(arr, (0, 1)) == np.inf
+
+
+def _seeded_variants(arrays, rng):
+    """`arrays` as drawn, then copies with one value near zero, a near-tied
+    pool window, and a window whose only positive value is small."""
+    yield arrays
+    for offset in (5e-5, 2e-4):
+        near_zero = [a.copy() for a in arrays]
+        target = near_zero[rng.integers(len(arrays))]
+        target.flat[rng.integers(target.size)] = offset * rng.choice([-1.0, 1.0])
+        yield near_zero
+        for build in ("tie", "lone_positive"):
+            edited = [a.copy() for a in arrays]
+            h = edited[0]                                   # the first embedding layer's
+            b, y, w, c = (int(rng.integers(n)) for n in (h.shape[0], h.shape[3], h.shape[4],
+                                                          h.shape[5]))
+            window = h[b, :3, :3, y, w, c]                  # a view: edits reach h
+            if build == "tie":
+                window.flat[0] = np.abs(window).max() + 0.5
+                window.flat[1] = window.flat[0] - offset
+            else:
+                window[...] = -np.abs(window) - 1e-3
+                window.flat[0] = offset
+            yield edited
+
+
+class TestMarginRule:
+    @pytest.mark.parametrize("check, calls", [
+        (gradsuite.check_graph_embedding, 4), (gradsuite.check_full_model_micro, 4),
+        (gradsuite.check_full_model_desk, 1)], ids=["graph_embedding", "micro", "desk"])
+    def test_same_decision_as_relu_copy_rule(self, monkeypatch, check, calls):
+        """Every draw a check makes, and seeded edits of it: `_margins_ok` on the
+        raw batch-norm outputs decides as the rule on their relu'd copies did.
+        The spy rejects each draw, so a check draws MAX_DRAW_ATTEMPTS times."""
+        margins_ok, rng = gradsuite._margins_ok, np.random.default_rng(0)
+        decisions = []
+
+        def spy(bn_outputs):
+            for arrays in _seeded_variants([h.data for h in bn_outputs], rng):
+                ours = margins_ok([Tensor(a) for a in arrays])
+                reference = relu_copy_margins_ok(arrays, gradsuite.RELU_MARGIN,
+                                                 gradsuite.POOL_GAP_MARGIN)
+                decisions.append((ours, reference))
+            return False
+
+        monkeypatch.setattr(gradsuite, "_margins_ok", spy)
+        for seed in range(calls):
+            with pytest.raises(RuntimeError, match="no well-conditioned draw"):
+                check(np.random.default_rng(seed))
+        assert len(decisions) == calls * gradsuite.MAX_DRAW_ATTEMPTS * 7
+        assert all(ours == reference for ours, reference in decisions)
+        accepted = sum(ours for ours, _ in decisions)
+        assert 0 < accepted < len(decisions)
 
 
 class TestGradCheckRestore:

@@ -410,17 +410,34 @@ class TestTrainEvalReport:
         conf = (tmp_path / "eval" / "confusion_natural.csv").read_text().splitlines()
         assert len(conf) == 5  # header + 4 classes
 
-    def test_eval_of_videos_of_another_length_exits_one_naming_the_key(self, workspace, capsys,
-                                                                       tmp_path):
+    @staticmethod
+    def _short_videos(tmp_path):
+        """A generated dataset of T=12 videos, against the workspace model's T=16."""
         data_cfg = tmp_path / "data.json"
         data_cfg.write_text(json.dumps({"num_classes": 2, "T": 12, "train_videos_per_class": 2,
                                         "val_videos_per_class": 2, "seed": 1}))
         assert main(["gen-data", "--config", str(data_cfg), "--out", str(tmp_path / "data")]) == 0
+        return tmp_path / "data"
+
+    def test_eval_of_videos_of_another_length_exits_one_naming_the_key(self, workspace, capsys,
+                                                                       tmp_path):
         code, _, err = run_cli(capsys, "eval", "--checkpoint",
-                               str(workspace / "run" / "checkpoint"), "--data", str(tmp_path / "data"))
+                               str(workspace / "run" / "checkpoint"),
+                               "--data", str(self._short_videos(tmp_path)))
         assert code == 1
         assert "eval dataset video 0 has shape (12, 1, 1, 16): its T is 12 but config key 'T' is 16" \
             in err
+
+    def test_extract_graph_of_videos_of_another_length_exits_one_naming_the_key(
+            self, workspace, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "extract-graph", "--checkpoint",
+                               str(workspace / "run" / "checkpoint"),
+                               "--data", str(self._short_videos(tmp_path)),
+                               "--out", str(tmp_path / "graphs"))
+        assert code == 1
+        assert ("extract-graph dataset video 0 has shape (12, 1, 1, 16): its T is 12 but config "
+                "key 'T' is 16") in err
+        assert not (tmp_path / "graphs").exists()
 
     def test_eval_out_on_multi_label_exits_one_before_scoring(self, capsys, tmp_path, monkeypatch):
         data_cfg = tmp_path / "data.json"

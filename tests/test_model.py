@@ -213,9 +213,9 @@ class TestShapeInference:
         model = VideoGraphModel(cfg)
         stages = dict(shape_inference(cfg))
         x = Tensor(np.random.default_rng(0).normal(size=(1,) + stages["input"]))
-        capture = {}
-        scores = model.forward_batch(x, mode="train", capture=capture)
-        assert capture["embedding_output"].shape[1:] == stages["graph_embedding_1"]
+        embedded = model.embed(node_attention_forward(x, model.nodes, model.attention), "train")
+        assert embedded.shape[1:] == stages["graph_embedding_1"]
+        scores = model.forward_batch(x, mode="train")
         assert model.classifier_input_dim == stages["classifier_input"]
         assert scores.shape == (1, stages["scores"])
 
@@ -315,11 +315,6 @@ class TestModelDeterminism:
         assert np.all(np.isfinite(scores.data))
 
 
-def _captured_bytes(capture):
-    return {key: (value[0].data.tobytes(), value[1]) if isinstance(value, tuple)
-            else value.data.tobytes() for key, value in capture.items()}
-
-
 class TestModelSplit:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("config", [
@@ -335,7 +330,7 @@ class TestModelSplit:
         for composed in (False, True):
             model = VideoGraphModel(config)
             model.forward_batch(warm, mode="train")                 # BN statistics
-            capture: dict = {}
+            capture: list = []
             if composed:
                 h = node_attention_forward(x, model.nodes, model.attention)
                 scores = model.classify(model.embed(h, mode, capture), mode, capture)
@@ -343,11 +338,11 @@ class TestModelSplit:
                 scores = model.forward_batch(x, mode=mode, capture=capture)
             stats = {name: (bn.running_mean.tobytes(), bn.running_var.tobytes())
                      for name, bn in model.bn_states().items()}
-            runs.append((scores.data.tobytes(), _captured_bytes(capture), stats))
+            runs.append((scores.data.tobytes(), [(h.shape, h.data.tobytes()) for h in capture],
+                         stats))
         (scores, capture, stats), (scores_c, capture_c, stats_c) = runs
-        layers = [f"embed{i}." for i in range(config.num_embedding_layers)]
-        assert set(capture) == ({p + k for p in layers for k in ("pre_relu", "pre_pool")}
-                                | {"embedding_output", "classifier.pre_relu"})
+        # one batch-norm output per embedding layer, then the classifier's
+        assert [len(shape) for shape, _ in capture] == [6] * config.num_embedding_layers + [2]
         assert scores_c == scores
         assert capture_c == capture
         assert stats_c == stats

@@ -81,7 +81,6 @@ def eval_one(model, features):
 
 class _OracleStub:
     """Predicts the true label with certainty; time order is irrelevant."""
-    label_mode = "single"
 
     def __init__(self, dataset, num_classes):
         # keyed on the float64 bytes that forward_batch receives
@@ -99,8 +98,6 @@ class _OracleStub:
 
 
 class _RandomStub:
-    label_mode = "single"
-
     def __init__(self, num_classes, seed=0):
         self.num_classes = num_classes
         self.config = VideoGraphConfig(num_classes=num_classes)
@@ -136,8 +133,9 @@ class TestEvaluate:
     def test_label_mode_mismatch_rejected(self):
         ds, _ = tiny_dataset()
         stub = _RandomStub(4)
-        stub.label_mode = "multi"
-        with pytest.raises(ValueError, match="label"):
+        stub.config.label_mode = "multi"
+        with pytest.raises(ValueError, match="eval dataset is single-label but config key "
+                                             "'label_mode' is 'multi'"):
             evaluate(stub, ds)
 
     def test_video_shape_checked_against_the_model(self):
@@ -152,6 +150,13 @@ class TestEvaluate:
         empty = Dataset(features=[], labels=np.zeros(0, dtype=np.int64), label_mode="single")
         with pytest.raises(ValueError, match="eval dataset is empty"):
             evaluate(_RandomStub(2), empty)
+
+    def test_label_outside_num_classes_rejected(self):
+        ds, _ = tiny_dataset()
+        shifted = Dataset(ds.features, ds.labels + 5, ds.label_mode)
+        with pytest.raises(ValueError, match=re.escape("eval dataset label 5 is outside [0, 2) "
+                                                       "for num_classes 2")):
+            evaluate(_RandomStub(2), shifted)
 
     @pytest.mark.parametrize("mode, draws", [("natural", 0), ("reversed", 0), ("random", 12)])
     def test_only_random_order_derives_seeds(self, monkeypatch, mode, draws):
@@ -361,6 +366,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(f"{ckpt / 'manifest.json'} {message}")):
             load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("model_type"), "lacks key(s) ['model_type']"),
+        (lambda m: m.pop("epoch"), "lacks key(s) ['epoch']"),
+        (lambda m: m.update(epoch=-1), "'epoch' must be a non-negative integer; got -1"),
+        (lambda m: m.update(epoch=1.5), "'epoch' must be a non-negative integer; got 1.5"),
+        (lambda m: m.update(epoch=True), "'epoch' must be a non-negative integer; got True")],
+        ids=["no-model-type", "no-epoch", "negative-epoch", "float-epoch", "bool-epoch"])
+    def test_model_type_and_epoch_checked(self, tmp_path, edit, message):
+        ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: None)
+        self._resealed(ckpt, edit)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(ckpt)
+
     def test_model_key_of_wrong_type_named(self, tmp_path):
         ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: snap.update(N=8.0))
         with pytest.raises(ValueError, match="config key 'N' must be int; got 8.0"):
@@ -433,6 +451,14 @@ class TestTrainingLoop:
             train(cfg, ds, val_dataset=ds, out_dir=tmp_path / "run", model=model)
         assert not (tmp_path / "run").exists()
         assert before == {n: p.data.tobytes() for n, p in model.named_parameters().items()}
+
+    def test_negative_start_epoch_rejected(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(training, "build_model", lambda *args, **kwargs: built.append(args))
+        ds, _ = tiny_dataset(seed=8)
+        with pytest.raises(ValueError, match="start_epoch must be non-negative; got -1"):
+            train(RunConfig(num_classes=2, epochs=1, seed=8), ds, ds, start_epoch=-1)
+        assert built == []
 
     def test_resume_accepts_another_seed(self):
         ds, _ = tiny_dataset(seed=8)
