@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import MODEL_FIELDS, MODEL_TYPES, VideoGraphConfig, model_type_name
-from .optim import SgdMomentum
+from .optim import SETTINGS, SgdMomentum
 
 FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
@@ -68,9 +68,7 @@ def save_checkpoint(model, optimizer: SgdMomentum, epoch: int, path,
         "config": config_snapshot,
         "epoch": int(epoch),
         "bn_initialized": all(bn.initialized for bn in model.bn_states().values()),
-        "optimizer": {"learning_rate": optimizer.learning_rate,
-                      "momentum": optimizer.momentum,
-                      "weight_decay": optimizer.weight_decay},
+        "optimizer": {name: getattr(optimizer, name) for name in SETTINGS},
         **{group: [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
            for group, arrays in groups.items()},
     }
@@ -147,16 +145,24 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     if type(epoch) is not int or epoch < 0:  # excludes bool
         raise CheckpointError(f"manifest key 'epoch' must be a non-negative integer; "
                               f"got {epoch!r}")
+    bn_init = manifest.get("bn_initialized")
+    if type(bn_init) is not bool:
+        raise CheckpointError(f"manifest key 'bn_initialized' must be true or false; got {bn_init!r}")
+    settings = manifest.get("optimizer", {})
+    if not isinstance(settings, dict):
+        raise CheckpointError(f"manifest key 'optimizer' must be a JSON object; got {settings!r}")
+    missing, extra = sorted(set(SETTINGS) - set(settings)), sorted(set(settings) - set(SETTINGS))
+    if missing or extra:
+        raise CheckpointError(f"manifest key 'optimizer' lacks {missing} and has unknown {extra}")
     snapshot = manifest["config"]
     missing = [name for name in MODEL_FIELDS if name not in snapshot]
     if missing:
         raise CheckpointError(f"config snapshot lacks model key(s) {missing}")
     config = VideoGraphConfig(**{name: snapshot[name] for name in MODEL_FIELDS})
-    config.validate()
     # parameters are overwritten below, so build with a data-free init strategy
     model = MODEL_TYPES[model_type](replace(config, init_strategy="random"))
     model.config = config
-    optimizer = SgdMomentum(model.named_parameters(), **manifest.get("optimizer", {}))
+    optimizer = SgdMomentum(model.named_parameters(), **settings)
 
     cursor = 0
     for group, targets in _groups(model, optimizer).items():
@@ -164,7 +170,6 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     if cursor != len(payload):
         raise CheckpointError(f"payload has {len(payload) - cursor} trailing bytes")
 
-    if manifest.get("bn_initialized", False):
-        for bn in model.bn_states().values():
-            bn.initialized = True
+    for bn in model.bn_states().values():
+        bn.initialized = bn_init
     return LoadedCheckpoint(model=model, optimizer=optimizer, epoch=epoch, config=snapshot)

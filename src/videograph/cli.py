@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import (collect_activation_stacks, confusion_matrix, extract_activity_graph,
@@ -70,9 +71,9 @@ def _load_eval_inputs(args):
 
 def cmd_gen_data(args) -> int:
     out = Path(args.out)
-    cfg = DatasetConfig(**_load_json(args.config)) if args.config else DatasetConfig()
+    cfg = DatasetConfig.from_dict(_load_json(args.config)) if args.config else DatasetConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     train_set = generate_samples(cfg, cfg.train_videos_per_class, salt=0)
     val_set = generate_samples(cfg, cfg.val_videos_per_class, salt=1)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,7 +88,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     config = RunConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
     train_path, val_path = (_resolve_manifest(args.data, split) for split in ("train", "val"))
     train_ds = load_manifest(train_path, num_label_classes=config.num_classes)
     # a manifest file named by --data serves as both splits: read it once
@@ -163,12 +164,11 @@ def cmd_extract_graph(args) -> int:
 def cmd_report(args) -> int:
     loaded, dataset = _load_eval_inputs(args)
     rows = []
-    natural = None
-    for mode in PERTURBATION_MODES:
+    for mode in PERTURBATION_MODES:   # "natural" first
         result = evaluate(loaded.model, dataset, perturbation=mode, seed=args.seed)
         if mode == "natural":
             natural = result.metric
-        drop = 0.0 if natural in (None, 0.0) else (natural - result.metric) / natural * 100.0
+        drop = 0.0 if natural == 0.0 else (natural - result.metric) / natural * 100.0
         rows.append({"perturbation": mode, "metric": result.metric, "drop_pct": drop})
     header = f"{'perturbation':14s} {'metric':>8s} {'drop%':>8s}"
     print(header)

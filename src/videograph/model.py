@@ -13,10 +13,14 @@ each directly and would cancel it.
 
 Every block is batch-first: the model's one forward path takes a batch of
 videos (B, T, H, W, C), and a single video is a batch of one.
+
+Every config record (`VideoGraphConfig`, `RunConfig`, `DatasetConfig`) is a
+frozen `Config` that checks its fields when built; no caller validates one.
 """
 
 from __future__ import annotations
 
+import sys
 import typing
 from dataclasses import dataclass, asdict, fields
 
@@ -37,25 +41,53 @@ INIT_STRATEGIES = ("random", "sobol", "kmeans")
 LABEL_MODES = ("single", "multi")
 
 
-def check_types(config) -> None:
-    """Raise ValueError naming the first field of a config dataclass whose value
-    is not of its annotated type. A bool is not an int; an int is a float.
-    """
-    for name, want in typing.get_type_hints(type(config)).items():
-        value = getattr(config, name)
-        allowed = (int, float) if want is float else want
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ValueError(f"config key {name!r} must be "
-                             f"{getattr(want, '__name__', want)}; got {value!r}")
+@dataclass(frozen=True)
+class Config:
+    """Base of the config records: each checks every field once, when built
+    (by `dataclasses.replace` too), and is frozen after. A value must have its
+    annotated type (a bool is not an int; an int is a float), a float must be
+    finite, an int >= 1 (`seed` >= 0), a `_choices` key one of its values."""
+
+    _choices = {}
+
+    def __post_init__(self) -> None:
+        for name, want in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            allowed = (int, float) if want is float else want
+            least = 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                problem = f"must be {getattr(want, '__name__', want)}"
+            elif want is float and not abs(value) <= sys.float_info.max:  # NaN, inf, huge int
+                problem = "must be finite"
+            elif want is int and value < least:
+                problem = f"must be at least {least}"
+            elif name in self._choices and value not in self._choices[name]:
+                problem = f"must be one of {self._choices[name]}"
+            else:
+                continue
+            raise ValueError(f"config key {name!r} {problem}; got {value!r}")
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+        return cls(**data)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
-@dataclass
-class VideoGraphConfig:
+@dataclass(frozen=True)
+class VideoGraphConfig(Config):
     """Model dimensions and wiring; the defaults are the desk preset.
 
     The desk preset trains in seconds on a laptop core. N=8 only survives
     one round of /3 pooling, so it uses a single graph embedding layer.
     """
+
+    _choices = {"label_mode": LABEL_MODES, "sigma_kind": SIGMA_KINDS,
+                "init_strategy": INIT_STRATEGIES}
 
     T: int = 16
     N: int = 8
@@ -72,24 +104,10 @@ class VideoGraphConfig:
     init_strategy: str = "random"
     seed: int = 0
 
-    def validate(self) -> None:
-        check_types(self)
-        for name in ("T", "N", "H", "W", "C", "num_classes", "classifier_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"config field {name} must be positive")
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.t % 2 == 0 or self.n % 2 == 0:
-            raise ValueError(f"kernel sizes must be odd; got t={self.t}, n={self.n}")
-        if self.num_embedding_layers < 1:
-            raise ValueError("need at least one graph embedding layer")
-        if self.label_mode not in LABEL_MODES:
-            raise ValueError(f"label_mode must be one of {LABEL_MODES}")
-        if self.sigma_kind not in SIGMA_KINDS:
-            raise ValueError(f"sigma_kind must be one of {SIGMA_KINDS}")
-        if self.init_strategy not in INIT_STRATEGIES:
-            raise ValueError(f"init_strategy must be one of {INIT_STRATEGIES}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+            raise ValueError(f"config keys 't' and 'n' must be odd; got t={self.t}, n={self.n}")
 
 
 MODEL_FIELDS = tuple(f.name for f in fields(VideoGraphConfig))
@@ -120,7 +138,6 @@ def shape_inference(config: VideoGraphConfig) -> list[tuple[str, object]]:
     Raises ShapeError where the real forward would: a pooled axis shorter
     than the pooling kernel, or any axis reaching zero.
     """
-    config.validate()
     stages: list[tuple[str, object]] = [
         ("input", (config.T, config.H, config.W, config.C)),
         ("node_attention", (config.T, config.H, config.W, config.N)),
@@ -329,7 +346,7 @@ def graph_embedding_forward(h: Tensor, params: GraphEmbeddingParams, mode: str,
 
 class VideoGraphModel:
     def __init__(self, config: VideoGraphConfig, feature_sample: np.ndarray | None = None):
-        stages = shape_inference(config)   # validates the config first
+        stages = shape_inference(config)
         self.config = config
         self.classifier_input_dim = next(v for k, v in stages if k == "classifier_input")
 
@@ -404,7 +421,6 @@ class MeanPoolBaseline:
     """
 
     def __init__(self, config: VideoGraphConfig):
-        config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)
         self.classifier = ClassifierHead(config.C, config.classifier_hidden,

@@ -13,15 +13,18 @@ import numpy as np
 from .tensor import Tensor
 
 
+# each setting's range is [0, end) for the end given here
+SETTINGS = {"learning_rate": np.inf, "momentum": 1.0, "weight_decay": np.inf}
+
+
 class SgdMomentum:
     def __init__(self, params: dict[str, Tensor], learning_rate: float, momentum: float,
                  weight_decay: float):
-        if learning_rate < 0:
-            raise ValueError(f"learning_rate must be non-negative, got {learning_rate}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
+        for name, value in zip(SETTINGS, (learning_rate, momentum, weight_decay)):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 <= value < SETTINGS[name]):  # NaN fails the range test
+                raise ValueError(f"optimizer setting {name!r} must be a number in "
+                                 f"[0, {SETTINGS[name]}); got {value!r}")
         self.params = dict(params)
         self.learning_rate = learning_rate
         self.momentum = momentum

@@ -16,12 +16,12 @@ indicator of the unit-actions each walk visits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import Dataset
-from .model import LABEL_MODES, check_types
+from .model import LABEL_MODES, Config
 
 DEFAULT_NOISE_SIGMA = 0.3
 CYCLE_MIX = 0.25           # weight of the uniform part blended into each cycle
@@ -218,8 +218,10 @@ def perturbation_indices(length: int, mode: str, seed: int = 0) -> np.ndarray:
 # Dataset generation
 
 
-@dataclass
-class DatasetConfig:
+@dataclass(frozen=True)
+class DatasetConfig(Config):
+    _choices = {"regime": REGIMES, "label_mode": LABEL_MODES}
+
     num_classes: int = 4
     num_actions: int = 4
     regime: str = "marginal_confound"
@@ -233,25 +235,10 @@ class DatasetConfig:
     label_mode: str = "single"
     seed: int = 0
 
-    def validate(self) -> None:
-        """Raise ValueError naming the first key that cannot generate a dataset."""
-        check_types(self)
-        for name in ("num_classes", "num_actions", "T", "H", "W", "C",
-                     "train_videos_per_class", "val_videos_per_class"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"config key {name!r} must be positive; got {getattr(self, name)}")
-        if self.label_mode not in LABEL_MODES:
-            raise ValueError(f"config key 'label_mode' must be one of {LABEL_MODES}; "
-                             f"got {self.label_mode!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def generate_samples(config: DatasetConfig, videos_per_class: int, salt: int) -> Dataset:
     """videos_per_class videos of each class, class by class; `salt` keeps
     the train and val sets of one config apart."""
-    config.validate()
     vocab = make_vocabulary(config.num_actions, config.C, seed=config.seed,
                             noise_sigma=config.noise_sigma)
     classes = make_class_set(config.num_classes, config.num_actions, config.regime,

@@ -22,24 +22,20 @@ from .analysis import track_node_distances
 from .checkpoint import save_checkpoint
 from .datasets import Dataset
 from .metrics import accuracy, mean_average_precision
-from .model import (MODEL_FIELDS, MeanPoolBaseline, VideoGraphConfig, VideoGraphModel, check_types,
-                    eval_chunks)
-from .optim import SgdMomentum
+from .model import MODEL_FIELDS, MeanPoolBaseline, VideoGraphConfig, VideoGraphModel, eval_chunks
+from .optim import SETTINGS, SgdMomentum
 from .synthetic import perturbation_indices
 from .tensor import Tape, Tensor
 
 METRIC_HEADER = ("epoch", "train_loss", "train_acc", "val_metric", "mean_node_distance")
 # model fields that only shape initialisation, so a resumed run may change them
 INIT_ONLY_FIELDS = ("seed", "init_strategy")
-# run config keys a resumed optimizer must already hold
-OPTIMIZER_FIELDS = ("learning_rate", "momentum", "weight_decay")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(VideoGraphConfig):
     """A model config plus the optimisation settings of one run."""
 
-    # optimization
     epochs: int = 200
     batch_size: int = 8
     learning_rate: float = 0.1
@@ -48,15 +44,6 @@ class RunConfig(VideoGraphConfig):
 
     def model_config(self) -> VideoGraphConfig:
         return VideoGraphConfig(**{name: getattr(self, name) for name in MODEL_FIELDS})
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown run config keys: {sorted(unknown)}")
-        config = cls(**data)
-        check_types(config)
-        return config
 
 
 @dataclass
@@ -193,17 +180,14 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset, out_d
 
     Every metric row scores the model on val_dataset, which is required (one
     dataset may serve as both train and val). When out_dir is given, writes
-    a final checkpoint and metrics.csv there.
+    a final checkpoint and metrics.csv there. `config` checked its own keys
+    when built (`model.Config`); train checks only what spans its arguments.
     Passing model/optimizer/start_epoch resumes a checkpointed run; epoch
     numbering and shuffling then continue the original stream. The model's
     config must match the run config in every model field but the
     initialisation-only ones (INIT_ONLY_FIELDS), and the optimizer's settings
-    must match it in OPTIMIZER_FIELDS.
+    (`optim.SETTINGS`) must match it.
     """
-    check_types(config)
-    if config.epochs < 1 or config.batch_size < 1:
-        raise ValueError(f"epochs and batch_size must be positive; got "
-                         f"{config.epochs}, {config.batch_size}")
     if start_epoch < 0:
         raise ValueError(f"start_epoch must be non-negative; got {start_epoch}")
     if start_epoch >= config.epochs:
@@ -214,7 +198,7 @@ def train(config: RunConfig, train_dataset: Dataset, val_dataset: Dataset, out_d
         resumed += [("model config", model.config, name) for name in MODEL_FIELDS
                     if name not in INIT_ONLY_FIELDS]
     if optimizer is not None:
-        resumed += [("optimizer", optimizer, name) for name in OPTIMIZER_FIELDS]
+        resumed += [("optimizer", optimizer, name) for name in SETTINGS]
     for owner, source, name in resumed:
         have, want = getattr(source, name), getattr(config, name)
         if have != want:

@@ -126,7 +126,7 @@ class TestValidationErrors:
             cfg.write_text(json.dumps({key: value}))
             code, _, err = run_cli(capsys, "shapes", "--config", str(cfg))
             assert code == 1
-            assert "unknown run config keys" in err
+            assert "unknown RunConfig keys" in err
             assert repr(key) in err
 
     @pytest.mark.parametrize("text", ["[1, 2]", "{bad"])
@@ -150,6 +150,22 @@ class TestValidationErrors:
         data_flags = (("--data", str(tmp_path), "--out", str(tmp_path / "out"))
                       if command == "train" else ())
         code, _, err = run_cli(capsys, command, "--config", str(cfg), *data_flags)
+        assert code == 1
+        assert f"config key {key!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("train", {"t": -1}, "t"), ("train", {"seed": -1}, "seed"),
+        ("train", {"learning_rate": float("nan")}, "learning_rate"),
+        ("gen-data", {"noise_sigma": float("nan")}, "noise_sigma")])
+    def test_out_of_range_config_exits_one_before_writing(self, workspace, capsys, tmp_path,
+                                                          command, config, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"num_classes": 2, "epochs": 1, **config}
+                                  if command == "train" else config))
+        data_flags = ("--data", str(workspace / "data")) if command == "train" else ()
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), *data_flags,
+                               "--out", str(tmp_path / "out"))
         assert code == 1
         assert f"config key {key!r}" in err
         assert not (tmp_path / "out").exists()

@@ -1,5 +1,9 @@
 """Node attention, graph embedding, shape inference, and model contracts."""
 
+import re
+import typing
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +13,9 @@ from videograph.model import (GraphEmbeddingParams, MeanPoolBaseline, NodeAttent
                               VideoGraphConfig, VideoGraphModel,
                               graph_embedding_forward, init_latent_nodes, node_attention_forward,
                               full_scale_config, shape_inference, transformed_nodes)
+from videograph.synthetic import DatasetConfig
 from videograph.tensor import ShapeError, Tensor
+from videograph.training import RunConfig
 
 
 def make_attention_params(channels, sigma_kind="sigmoid", seed=0, identity=False):
@@ -346,3 +352,54 @@ class TestModelSplit:
         assert scores_c == scores
         assert capture_c == capture
         assert stats_c == stats
+
+
+CONFIG_CLASSES = (VideoGraphConfig, RunConfig, DatasetConfig)
+WRONG_TYPE = {int: "7", float: "0.1", str: 1}
+
+
+def refused_values():
+    """(config class, key, value) for every value the config rule refuses, field by field."""
+    cases = []
+    for cls in CONFIG_CLASSES:
+        for name, want in typing.get_type_hints(cls).items():
+            values = [True, WRONG_TYPE[want]]
+            if want is float:
+                values += [float("nan"), float("inf"), float("-inf")]
+            if want is int:
+                values.append(-1 if name == "seed" else 0)
+            cases += [pytest.param(cls, name, value, id=f"{cls.__name__}-{name}-{value!r}")
+                      for value in values]
+    return cases
+
+
+class TestConfigRule:
+    """One rule for every config record, checked when the record is built."""
+
+    @pytest.mark.parametrize("cls, key, value", refused_values())
+    def test_refused_value_names_the_key(self, cls, key, value):
+        message = f"config key {key!r} must be "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**{key: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(cls(), **{key: value})
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+    def test_fields_cannot_be_assigned(self, cls):
+        config = cls()
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+    def test_from_dict_names_the_class_and_every_unknown_key(self, cls):
+        with pytest.raises(ValueError, match=re.escape(f"unknown {cls.__name__} keys: "
+                                                       f"['TT', 'zz']")):
+            cls.from_dict({"zz": 1, "T": 16, "TT": 8})
+        assert cls.from_dict(cls().to_dict()) == cls()
+
+    def test_kernel_sizes_must_be_odd(self):
+        assert VideoGraphConfig(seed=0, t=1, n=3).t == 1
+        with pytest.raises(ValueError, match=re.escape("config keys 't' and 'n' must be odd; "
+                                                       "got t=7, n=4")):
+            replace(VideoGraphConfig(), n=4)

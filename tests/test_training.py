@@ -133,7 +133,7 @@ class TestEvaluate:
     def test_label_mode_mismatch_rejected(self):
         ds, _ = tiny_dataset()
         stub = _RandomStub(4)
-        stub.config.label_mode = "multi"
+        stub.config = replace(stub.config, label_mode="multi")
         with pytest.raises(ValueError, match="eval dataset is single-label but config key "
                                              "'label_mode' is 'multi'"):
             evaluate(stub, ds)
@@ -354,8 +354,47 @@ class TestCheckpoint:
     def test_missing_optimizer_settings_named(self, tmp_path):
         ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: None)
         self._resealed(ckpt, lambda m: m.pop("optimizer"))
-        with pytest.raises(TypeError, match="'learning_rate', 'momentum', and 'weight_decay'"):
+        with pytest.raises(CheckpointError,
+                           match=re.escape("['learning_rate', 'momentum', 'weight_decay']")):
             load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda opt: opt.pop("momentum"), "'optimizer' lacks ['momentum'] and has unknown []"),
+        (lambda opt: opt.update(nesterov=True), "'optimizer' lacks [] and has unknown ['nesterov']"),
+        (lambda opt: opt.update(learning_rate="0.1"),
+         "optimizer setting 'learning_rate' must be a number in [0, inf); got '0.1'"),
+        (lambda opt: opt.update(learning_rate=float("nan")),
+         "optimizer setting 'learning_rate' must be a number in [0, inf); got nan")],
+        ids=["missing-key", "extra-key", "string", "nan"])
+    def test_optimizer_record_checked(self, tmp_path, edit, message):
+        ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: None)
+        self._resealed(ckpt, lambda m: edit(m["optimizer"]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(ckpt)
+
+    def test_optimizer_record_must_be_an_object(self, tmp_path):
+        ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: None)
+        self._resealed(ckpt, lambda m: m.update(optimizer=[0.1, 0.9, 1e-5]))
+        with pytest.raises(CheckpointError, match=re.escape("manifest key 'optimizer' must be a "
+                                                            "JSON object; got [0.1, 0.9, 1e-05]")):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("value", ["no", 1, None], ids=["string", "int", "missing"])
+    def test_bn_initialized_must_be_a_bool(self, tmp_path, value):
+        ckpt = self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: None)
+        manifest = self._resealed(ckpt, lambda m: m.update(bn_initialized=value) if value is not None
+                                  else m.pop("bn_initialized"))
+        assert manifest.get("bn_initialized") == value
+        with pytest.raises(CheckpointError, match=re.escape("manifest key 'bn_initialized' must be "
+                                                            f"true or false; got {value!r}")):
+            load_checkpoint(ckpt)
+
+    def test_bn_initialized_read_as_stored(self, tmp_path):
+        untrained = load_checkpoint(self._saved_with_snapshot(tmp_path / "ckpt", lambda snap: None))
+        assert not any(bn.initialized for bn in untrained.model.bn_states().values())
+        self._trained(tmp_path)
+        trained = load_checkpoint(tmp_path / "run" / "checkpoint")
+        assert all(bn.initialized for bn in trained.model.bn_states().values())
 
     @pytest.mark.parametrize("text, message", [
         ("{bad", "is not JSON"), ("[1, 2]", "must hold a JSON object, not a list")],
@@ -565,6 +604,23 @@ class TestTrainingLoop:
         assert 0.0 <= result.metric <= 1.0
 
 
+class TestSgdMomentum:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.5, "0.1",
+                                       True])
+    @pytest.mark.parametrize("name", ["learning_rate", "momentum", "weight_decay"])
+    def test_setting_out_of_range_named(self, name, value):
+        settings = {"learning_rate": 0.1, "momentum": 0.9, "weight_decay": 1e-5, name: value}
+        with pytest.raises(ValueError, match=re.escape(f"optimizer setting {name!r} must be a "
+                                                       f"number in [0, ")):
+            SgdMomentum({}, **settings)
+
+    def test_momentum_below_one(self):
+        with pytest.raises(ValueError, match=re.escape("'momentum' must be a number in [0, 1.0); "
+                                                       "got 1.0")):
+            SgdMomentum({}, learning_rate=0.1, momentum=1.0, weight_decay=0.0)
+        assert SgdMomentum({}, learning_rate=0, momentum=0.0, weight_decay=0).momentum == 0.0
+
+
 class TestManifests:
     @pytest.mark.parametrize("label_mode", ["single", "multi"])
     def test_round_trip_through_files(self, tmp_path, label_mode):
@@ -741,8 +797,7 @@ class TestRunConfig:
         built = []
         monkeypatch.setattr(training, "build_model", lambda *args, **kwargs: built.append(args))
         ds, _ = tiny_dataset(num_classes=4, per_class=2)
-        config = replace(RunConfig(epochs=1), **{key: value})
         with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be int; "
                                                        f"got {value!r}")):
-            train(config, ds, ds)
+            train(replace(RunConfig(epochs=1), **{key: value}), ds, ds)
         assert built == []
